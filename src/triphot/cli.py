@@ -32,13 +32,13 @@ def parse_angle(text: str, degrees: bool = False) -> float:
     'pi' expression such as 'pi', '-pi/2', '3pi/8'."""
     text = text.strip().lower()
     match = _ANGLE_RE.match(text)
-    if match:
-        num = match.group(1)
-        coeff = float(num) if num not in ("", "+", "-") else float(num + "1")
-        return coeff * np.pi / (float(match.group(2)) if match.group(2) else 1.0)
     try:
+        if match:
+            num, den = match.groups()
+            coeff = float(num) if num not in ("", "+", "-") else float(num + "1")
+            return coeff * np.pi / (float(den) if den else 1.0)
         value = float(text)
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
     return np.deg2rad(value) if degrees else value
 
@@ -268,7 +268,6 @@ def cmd_info(args) -> int:
     print("retarder convention: J = R(chi) diag(e^{+i d/2}, e^{-i d/2}) R(-chi),")
     print("  pinned by the quarter-wave interference law at chi=pi/8, phi=pi/2")
     print("angles: radians everywhere (CLI accepts 'pi' forms and --deg)")
-    print("parallelism: single-threaded vectorized kernels; TRIPHOT_THREADS caps are honored trivially")
     return 0
 
 
@@ -328,9 +327,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -23,10 +23,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import optics, qutrit
-from .errors import DegenerateTableError, ZeroStateError
+from .errors import DegenerateTableError
 from .optics import PlateSpec
 
 ANALYSIS_CHOICES = ("none", "x", "y")
+
+# Largest bin count `simulate_counts` accepts: a million CountRecords take
+# about 140 MB.
+MAX_BINS = 10**6
 
 
 @dataclass(frozen=True)
@@ -52,10 +56,10 @@ class SourceSpec:
                 raise ValueError(f"{name} must be in [0, 1], got {t!r}")
         if self.t20 == 0.0 and self.t02 == 0.0:
             raise ValueError("t20 and t02 cannot both be zero")
-        if self.phase_jitter < 0.0:
-            raise ValueError(f"phase_jitter must be >= 0, got {self.phase_jitter!r}")
-        if self.pair_rate <= 0.0:
-            raise ValueError(f"pair_rate must be > 0, got {self.pair_rate!r}")
+        if not (0.0 <= self.phase_jitter < math.inf):
+            raise ValueError(f"phase_jitter must be finite and >= 0, got {self.phase_jitter!r}")
+        if not (0.0 < self.pair_rate < math.inf):
+            raise ValueError(f"pair_rate must be finite and > 0, got {self.pair_rate!r}")
         if not np.isfinite(self.phase):
             raise ValueError("phase must be finite")
 
@@ -76,8 +80,10 @@ class ExperimentConfig:
             eta = getattr(self, name)
             if not (0.0 <= eta <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {eta!r}")
-        if self.accidental_rate < 0.0:
-            raise ValueError(f"accidental_rate must be >= 0, got {self.accidental_rate!r}")
+        if not (0.0 <= self.accidental_rate < math.inf):
+            raise ValueError(
+                f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}"
+            )
 
     @property
     def mode(self) -> str:
@@ -118,8 +124,6 @@ class CountRecord:
 
 def source_state(src: SourceSpec, jitter_draw: float = 0.0) -> np.ndarray:
     """Pair state leaving the interferometer for one jitter realization."""
-    if src.t20 == 0.0 and src.t02 == 0.0:
-        raise ZeroStateError("both source arms are blocked")
     return qutrit.make_state(
         src.t20, 0.0, src.t02 * np.exp(1j * (src.phase + jitter_draw))
     )
@@ -144,36 +148,14 @@ def qwp_law(chi: float, phi: float) -> float:
     ) ** 2
 
 
-_ANALYSIS_CHAIN = {
-    "x": lambda: optics.lift(optics.half_wave(np.pi / 8)) @ optics.lift(optics.polarizer("x")),
-    "y": lambda: optics.lift(optics.half_wave(np.pi / 8)) @ optics.lift(optics.polarizer("y")),
-}
-
-
-def _chain_matrix(plate: PlateSpec, analysis: str) -> np.ndarray:
-    """Full pair operator from the interferometer output to the beamsplitter."""
-    k = optics.lift(optics.retarder(plate.retardance, plate.angle))
-    if analysis != "none":
-        k = _ANALYSIS_CHAIN[analysis]() @ k
-    return k
-
-
-def _fringe_amplitudes(cfg: ExperimentConfig, plate: PlateSpec):
-    """Coefficients (alpha, beta) so that one pair with source-phase angle
-    theta produces a coincidence with probability
-    |alpha + beta e^{i theta}|^2 * eta1 * eta2."""
-    k = _chain_matrix(plate, cfg.analysis)
-    norm = math.hypot(cfg.source.t20, cfg.source.t02)
-    alpha = k[1, 0] * cfg.source.t20 / norm
-    beta = k[1, 2] * cfg.source.t02 / norm
-    return alpha, beta
-
-
 def predict_rate(cfg: ExperimentConfig, phi: float | None = None, chi: float | None = None) -> float:
     """Expected coincidence rate (counts/second), jitter-averaged exactly.
 
-    The per-pair coincidence probability is a single harmonic in the source
-    phase, so Gaussian jitter of width sigma damps the interference term by
+    The plate and the optional analysis block (polarizer, then a half-wave
+    plate at pi/8) are composed as Jones matrices and lifted once.  One pair
+    with source-phase angle theta then gives a coincidence with probability
+    |alpha + beta e^{i theta}|^2 * eta1 * eta2, a single harmonic in theta,
+    so Gaussian jitter of width sigma damps the interference term by
     exp(-sigma^2/2).  With sigma = 0 the value equals the deterministic
     pipeline probability times the pair rate, plus accidentals.
     """
@@ -181,14 +163,21 @@ def predict_rate(cfg: ExperimentConfig, phi: float | None = None, chi: float | N
         raise ValueError("override at most one of phi and chi")
     plate = cfg.plate if chi is None else replace(cfg.plate, angle=chi)
     phase = cfg.source.phase if phi is None else float(phi)
-    alpha, beta = _fringe_amplitudes(cfg, plate)
-    damp = math.exp(-0.5 * cfg.source.phase_jitter**2)
-    mean_p = (
-        abs(alpha) ** 2
-        + abs(beta) ** 2
-        + 2.0 * damp * (np.conj(alpha) * beta * np.exp(1j * phase)).real
-    )
-    return cfg.source.pair_rate * mean_p * cfg.eta1 * cfg.eta2 + cfg.accidental_rate
+    jones = optics.retarder(plate.retardance, plate.angle)
+    if cfg.analysis != "none":
+        jones = optics.half_wave(np.pi / 8) @ optics.polarizer(cfg.analysis) @ jones
+    k = optics.lift(jones)
+    src = cfg.source
+    norm = math.hypot(src.t20, src.t02)
+    alpha = k[1, 0] * src.t20 / norm
+    beta = k[1, 2] * src.t02 / norm
+    damp = math.exp(-0.5 * src.phase_jitter * src.phase_jitter)
+    # (1 - damp) * incoherent + damp * coherent part: never negative, so the
+    # rate is a valid Poisson mean for `simulate_counts`.
+    mean_p = (1.0 - damp) * (abs(alpha) ** 2 + abs(beta) ** 2) + damp * abs(
+        alpha + beta * np.exp(1j * phase)
+    ) ** 2
+    return src.pair_rate * mean_p * cfg.eta1 * cfg.eta2 + cfg.accidental_rate
 
 
 def sweep(cfg: ExperimentConfig, parameter: str, start: float, stop: float, steps: int) -> SweepTable:
@@ -212,37 +201,27 @@ def simulate_counts(
 ) -> list[CountRecord]:
     """Seeded Monte Carlo of binned coincidence counting.
 
-    Per bin: the pair number is Poisson(pair_rate * bin), each pair draws its
-    phase jitter and a coincidence Bernoulli with the pipeline probability,
-    and accidentals add Poisson(accidental_rate * bin).  Each bin consumes an
-    independent child stream of the seed, so the output is reproducible and
-    independent of evaluation order.
+    Each bin holds Poisson(predict_rate(cfg) * bin_width) coincidences, drawn
+    from one generator seeded with `seed`.  This is the exact law of the
+    per-pair experiment, not an approximation: the Poisson pair count thinned
+    by independent coincidence marks (jitter draw, then Bernoulli) is Poisson
+    with mean pair_rate * bin * E[p], and adding independent Poisson
+    accidentals keeps it Poisson.  At most MAX_BINS bins are simulated.
     """
+    if not (math.isfinite(duration) and math.isfinite(bin_width)):
+        raise ValueError("duration and bin_width must be finite")
     if duration <= 0.0 or bin_width <= 0.0:
         raise ValueError("duration and bin_width must be positive")
-    n_bins = int(math.floor(duration / bin_width + 1e-9))
+    bins = duration / bin_width + 1e-9
+    if bins > MAX_BINS:
+        raise ValueError(
+            f"duration {duration!r} s in bins of {bin_width!r} s exceeds {MAX_BINS} bins"
+        )
+    n_bins = math.floor(bins)
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
-    alpha, beta = _fringe_amplitudes(cfg, cfg.plate)
-    eta = cfg.eta1 * cfg.eta2
-    phase = cfg.source.phase
-    sigma = cfg.source.phase_jitter
-    mean_pairs = cfg.source.pair_rate * bin_width
-    mean_acc = cfg.accidental_rate * bin_width
-
-    records = []
-    for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_bins)):
-        rng = np.random.default_rng(child)
-        n_pairs = int(rng.poisson(mean_pairs))
-        hits = 0
-        if n_pairs > 0:
-            theta = phase + (rng.normal(0.0, sigma, n_pairs) if sigma > 0.0 else 0.0)
-            p = np.abs(alpha + beta * np.exp(1j * theta)) ** 2 * eta
-            hits = int(np.count_nonzero(rng.random(n_pairs) < p))
-        if mean_acc > 0.0:
-            hits += int(rng.poisson(mean_acc))
-        records.append(CountRecord(t_start=i * bin_width, coincidences=hits))
-    return records
+    counts = np.random.default_rng(seed).poisson(predict_rate(cfg) * bin_width, n_bins)
+    return [CountRecord(i * bin_width, hits) for i, hits in enumerate(counts.tolist())]
 
 
 def fundamental_period(rates: np.ndarray, dx: float) -> float:

@@ -176,13 +176,14 @@ def write_counts_csv(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_header(lines: list[str], want_kind: str):
+def _read_header(lines: list[str], want_kind: str, columns: str):
+    """Check the metadata and column header; returns (config, run_meta, first row index)."""
     if not lines or lines[0].strip() != CSV_MAGIC:
         raise ValueError(f"not a triphot file (missing '{CSV_MAGIC}' header)")
     kind = None
     config = None
     run_meta = None
-    body_start = 0
+    body_start = len(lines)
     for i, line in enumerate(lines):
         if not line.startswith("#"):
             body_start = i
@@ -197,17 +198,19 @@ def _read_header(lines: list[str], want_kind: str):
         raise ValueError(f"expected kind {want_kind!r}, found {kind!r}")
     if config is None:
         raise ValueError("missing '# config:' metadata line")
-    return config, run_meta, body_start
+    if body_start == len(lines):
+        raise ValueError(f"missing column header line {columns!r}")
+    if lines[body_start] != columns:
+        raise ValueError(f"unexpected column header {lines[body_start]!r}")
+    return config, run_meta, body_start + 1
 
 
 def read_sweep_csv(path: str) -> SweepTable:
     with open(path) as handle:
         lines = handle.read().splitlines()
-    config, _, start = _read_header(lines, "sweep")
-    if lines[start] != "param,value,rate":
-        raise ValueError(f"unexpected column header {lines[start]!r}")
+    config, _, start = _read_header(lines, "sweep", "param,value,rate")
     params, values, rates = [], [], []
-    for line in lines[start + 1:]:
+    for line in lines[start:]:
         if not line:
             continue
         name, value, rate = line.split(",")
@@ -225,11 +228,9 @@ def read_counts_csv(path: str):
     """Returns (records, config, run_meta)."""
     with open(path) as handle:
         lines = handle.read().splitlines()
-    config, run_meta, start = _read_header(lines, "counts")
-    if lines[start] != "t_start,coincidences":
-        raise ValueError(f"unexpected column header {lines[start]!r}")
+    config, run_meta, start = _read_header(lines, "counts", "t_start,coincidences")
     records = []
-    for line in lines[start + 1:]:
+    for line in lines[start:]:
         if not line:
             continue
         t_start, hits = line.split(",")

@@ -29,16 +29,10 @@ _SQRT2 = np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
 
 
-def rotation(theta: float) -> np.ndarray:
-    """2x2 rotation by theta: columns are the rotated x and y axes."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]], dtype=complex)
-
-
 def retarder(delta: float, chi: float) -> np.ndarray:
     """Jones matrix of a retardation plate (retardance delta, axis angle chi)."""
     d = np.diag([np.exp(0.5j * delta), np.exp(-0.5j * delta)])
-    return rotation(chi) @ d @ rotation(-chi)
+    return rotator(chi) @ d @ rotator(-chi)
 
 
 def half_wave(chi: float) -> np.ndarray:
@@ -50,8 +44,10 @@ def quarter_wave(chi: float) -> np.ndarray:
 
 
 def rotator(theta: float) -> np.ndarray:
-    """Polarization rotator by theta (same matrix as `rotation`)."""
-    return rotation(theta)
+    """Polarization rotator by theta: 2x2 rotation whose columns are the
+    rotated x and y axes."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.array([[c, -s], [s, c]], dtype=complex)
 
 
 def polarizer(axis: str) -> np.ndarray:

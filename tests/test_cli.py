@@ -47,6 +47,9 @@ class TestParseAngle:
 
         with pytest.raises(ConfigError):
             parse_angle("fast")
+        for text in ("pi/0", "pi/0.0"):
+            with pytest.raises(ConfigError):
+                parse_angle(text)
 
 
 class TestVerify:
@@ -137,6 +140,18 @@ class TestSweepCommand:
         assert main(base + ["--retardance", "third"]) == 2
         assert main(base + ["--retardance", "nan"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [("--accidental-rate", "nan"), ("--pair-rate", "inf"), ("--jitter", "nan"),
+         ("--stop", "pi/0")],
+    )
+    def test_bad_number_is_usage_error(self, fig2_config, tmp_path, flag, value):
+        out_path = tmp_path / "n.csv"
+        rc = main(["sweep", fig2_config, "--param", "phi", "--steps", "5", "-o", str(out_path),
+                   flag, value])
+        assert rc == 2
+        assert not out_path.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(["sweep", str(tmp_path / "nope.yaml"), "--param", "phi", "-o", "x.csv"])
         assert rc == 3
@@ -159,6 +174,13 @@ class TestMcCommand:
         assert main(["mc", fig2_config, "--seed", "42", "--duration", "50", "-o", p1]) == 0
         assert main(["mc", fig2_config, "--seed", "42", "--duration", "50", "-o", p2]) == 0
         assert open(p1, "rb").read() == open(p2, "rb").read()
+
+    def test_infinite_duration_is_usage_error(self, fig2_config, tmp_path, capsys):
+        out_path = tmp_path / "inf.csv"
+        rc = main(["mc", fig2_config, "--duration", "inf", "-o", str(out_path)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out_path.exists()
 
     def test_accidentals_only(self, fig2_config, tmp_path):
         out = str(tmp_path / "acc.csv")

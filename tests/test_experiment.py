@@ -298,6 +298,75 @@ class TestSimulateCounts:
         with pytest.raises(ValueError):
             simulate_counts(cfg, seed=0, duration=1.0, bin_width=-1.0)
 
+    def test_dark_fringe_gives_no_counts(self):
+        # a half-wave plate never converts psi_plus, so the rate is zero; in
+        # floating point it must not come out a hair below zero, which the
+        # Poisson draw would reject
+        for chi in np.linspace(0.0, PI, 161):
+            cfg = ideal_config(PlateSpec.half(chi), phase=0.0, pair_rate=100.0)
+            assert all(r.coincidences == 0 for r in simulate_counts(cfg, seed=6, duration=5.0))
+
+    @pytest.mark.parametrize(
+        "duration,bin_width",
+        [
+            (np.inf, 1.0),
+            (np.nan, 1.0),
+            (1.0, np.nan),
+            (1.0, 1e-320),
+            (experiment.MAX_BINS + 1.0, 1.0),
+        ],
+    )
+    def test_non_finite_or_too_many_bins_rejected_before_drawing(
+        self, duration, bin_width, monkeypatch
+    ):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("bins drawn before the arguments were checked")
+
+        monkeypatch.setattr(experiment, "predict_rate", no_draw)
+        cfg = ideal_config(PlateSpec.half(0.0))
+        with pytest.raises(ValueError):
+            simulate_counts(cfg, seed=0, duration=duration, bin_width=bin_width)
+
+    def test_matches_per_pair_sampler(self):
+        # Reference: the per-pair sampler that Poisson thinning replaced.  Per
+        # bin it draws the pair number, each pair's phase jitter and a
+        # coincidence Bernoulli, plus Poisson accidentals, from its own child
+        # stream; the fringe amplitudes come from three separate lifts.
+        from scipy.stats import ks_2samp
+
+        cfg = ExperimentConfig(
+            source=SourceSpec(phase=1.0, t20=0.9, t02=0.6, phase_jitter=0.8, pair_rate=50.0),
+            plate=PlateSpec.quarter(0.3),
+            analysis="x",
+            eta1=0.8,
+            eta2=0.9,
+            accidental_rate=0.2,
+        )
+        n_bins, seed = 20_000, 2026
+        k = (
+            optics.lift(optics.half_wave(PI / 8))
+            @ optics.lift(optics.polarizer("x"))
+            @ optics.lift(cfg.plate.jones())
+        )
+        src = cfg.source
+        norm = np.hypot(src.t20, src.t02)
+        alpha, beta = k[1, 0] * src.t20 / norm, k[1, 2] * src.t02 / norm
+        reference = np.empty(n_bins, dtype=int)
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(n_bins)):
+            rng = np.random.default_rng(child)
+            n_pairs = int(rng.poisson(src.pair_rate))
+            theta = src.phase + rng.normal(0.0, src.phase_jitter, n_pairs)
+            p = np.abs(alpha + beta * np.exp(1j * theta)) ** 2 * cfg.eta1 * cfg.eta2
+            reference[i] = np.count_nonzero(rng.random(n_pairs) < p)
+            reference[i] += rng.poisson(cfg.accidental_rate)
+
+        counts = np.array(
+            [r.coincidences for r in simulate_counts(cfg, seed, float(n_bins))], dtype=float
+        )
+        expected = predict_rate(cfg)
+        assert abs(counts.mean() - expected) < 4 * np.sqrt(expected / n_bins)
+        assert ks_2samp(counts, reference).pvalue > 0.01
+
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CountRecord(t_start=0.0, coincidences=-1)

@@ -148,6 +148,23 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="kind"):
             io.read_sweep_csv(path)
 
+    @pytest.mark.parametrize("kind", ["sweep", "counts"])
+    def test_header_only_file_names_missing_column_line(self, tmp_path, kind):
+        cfg = sample_config()
+        path = str(tmp_path / f"{kind}.csv")
+        if kind == "sweep":
+            io.write_sweep_csv(sweep(cfg, "phi", 0.0, 2 * np.pi, 5), path)
+            reader = io.read_sweep_csv
+        else:
+            io.write_counts_csv([CountRecord(0.0, 1)], cfg, path)
+            reader = io.read_counts_csv
+        with open(path) as handle:
+            header = [line for line in handle if line.startswith("#")]
+        with open(path, "w") as handle:
+            handle.writelines(header)
+        with pytest.raises(ValueError, match="missing column header line"):
+            reader(path)
+
     def test_sweep_yaml_document(self, tmp_path):
         cfg = sample_config()
         table = sweep(cfg, "chi", 0.0, np.pi, 9)
