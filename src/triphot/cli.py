@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from . import __version__, io, observables, qutrit, synthesis, verify
+from . import __version__, io, observables, qutrit
 from .errors import ConfigError
 from .experiment import SourceSpec, simulate_counts, source_state, sweep
 from .optics import PlateSpec
@@ -36,11 +36,15 @@ def parse_angle(text: str, degrees: bool = False) -> float:
         if match:
             num, den = match.groups()
             coeff = float(num) if num not in ("", "+", "-") else float(num + "1")
-            return coeff * np.pi / (float(den) if den else 1.0)
-        value = float(text)
+            value = coeff * np.pi / (float(den) if den else 1.0)
+        else:
+            value = float(text)
+            value = np.deg2rad(value) if degrees else value
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
-    return np.deg2rad(value) if degrees else value
+    if not np.isfinite(value):
+        raise ConfigError(f"angle must be finite, got {text!r}")
+    return value
 
 
 def _echo_config(cfg) -> None:
@@ -97,8 +101,10 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_verify(args) -> int:
-    print(f"triphot verify: grid {args.grid}x{args.grid}, {args.samples} samples, seed {args.seed}")
+    from . import verify
+
     results = verify.run_checks(args.grid, args.samples, args.seed)
+    print(f"triphot verify: grid {args.grid}x{args.grid}, {args.samples} samples, seed {args.seed}")
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"  {res.name:<46} max residual {res.residual:.3e}  tol {res.tol:.0e}  {status}")
@@ -186,7 +192,8 @@ def cmd_stokes(args) -> int:
     return 0
 
 
-_PLATE_NAMES = {"hwp": np.pi, "qwp": np.pi / 2, "free": synthesis.FREE}
+# "free" is synthesis.FREE, spelled out so the table loads without synthesis.
+_PLATE_NAMES = {"hwp": np.pi, "qwp": np.pi / 2, "free": "free"}
 
 
 def _plate_name(retardance: float) -> str:
@@ -198,6 +205,8 @@ def _plate_name(retardance: float) -> str:
 
 
 def cmd_synth(args) -> int:
+    from . import synthesis
+
     match = re.match(r"^\s*(\w+)\s*(?:->|→)\s*(\w+)\s*$", args.transition)
     if not match:
         raise ConfigError(

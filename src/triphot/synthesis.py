@@ -175,6 +175,8 @@ def synthesize(
     """
     if grid_density < 8:
         raise ValueError(f"grid density must be >= 8, got {grid_density}")
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
     rng = np.random.default_rng(seed)
     evaluations = 0
     candidates = []  # (fidelity, assignment_index, canonical params, assignment)

@@ -7,10 +7,10 @@ quarter-wave pin point is the canary for the retarder sign).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import unitary_group
 
 from . import experiment, observables, optics
 
@@ -70,10 +70,20 @@ def check_quarter_wave_pin() -> CheckResult:
     return CheckResult("quarter-wave convention pin (chi=pi/8, phi=pi/2)", float(residual), 1e-12)
 
 
+def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n Haar-random 2x2 unitaries, shape (n, 2, 2): QR of a complex Gaussian
+    with R's diagonal phases moved into Q.  Same draws, draw for draw, as
+    scipy.stats.unitary_group.rvs(2, size=n, random_state=rng)."""
+    z = 1 / math.sqrt(2) * (rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)))
+    q, r = np.linalg.qr(z)
+    d = r.diagonal(axis1=-2, axis2=-1)
+    return q * (d / abs(d))[..., np.newaxis, :]
+
+
 def check_lift_oracle(samples: int = 1000, seed: int = 12345) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for j in unitary_group.rvs(2, size=samples, random_state=rng):
+    for j in haar_unitaries(rng, samples):
         worst = max(worst, float(np.max(np.abs(optics.lift(j) - _symmetric_restriction(j)))))
     return CheckResult("pair-lift tensor oracle", worst, 1e-12)
 
@@ -82,7 +92,7 @@ def check_lift_homomorphism(samples: int = 1000, seed: int = 54321) -> CheckResu
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(samples):
-        j1, j2 = unitary_group.rvs(2, size=2, random_state=rng)
+        j1, j2 = haar_unitaries(rng, 2)
         worst = max(
             worst,
             float(np.max(np.abs(optics.lift(j2 @ j1) - optics.lift(j2) @ optics.lift(j1)))),
@@ -119,6 +129,10 @@ def check_p_invariance(samples: int = 1000, seed: int = 2024) -> CheckResult:
 
 
 def run_checks(grid: int = 101, samples: int = 1000, seed: int = 12345) -> list[CheckResult]:
+    if grid < 2:
+        raise ValueError(f"grid must be at least 2 (--grid), got {grid}")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1 (--samples), got {samples}")
     return [
         check_half_wave_grid(grid),
         check_quarter_wave_grid(grid),

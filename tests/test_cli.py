@@ -1,10 +1,16 @@
 """Tests for the command line interface."""
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import yaml
 
-from triphot import cli, io, optics
+import triphot
+from triphot import cli, io, optics, synthesis, verify
 from triphot.cli import main, parse_angle
 
 PI = np.pi
@@ -50,6 +56,10 @@ class TestParseAngle:
         for text in ("pi/0", "pi/0.0"):
             with pytest.raises(ConfigError):
                 parse_angle(text)
+        for text in ("nan", "inf", "-inf", "NaN", "1e400"):
+            for degrees in (False, True):
+                with pytest.raises(ConfigError, match=repr(text.lower())):
+                    parse_angle(text, degrees)
 
 
 class TestVerify:
@@ -74,6 +84,75 @@ class TestVerify:
         assert quarter_lines and all("FAIL" in l for l in quarter_lines)
         half_lines = [l for l in out.splitlines() if "half-wave" in l]
         assert half_lines and all("PASS" in l for l in half_lines)
+
+    @pytest.mark.parametrize(
+        "flag,value", [("--grid", "1"), ("--grid", "0"), ("--samples", "0"), ("--samples", "-3")]
+    )
+    def test_too_small_grid_or_samples_is_usage_error(self, capsys, flag, value):
+        assert main(["verify", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
+    def test_run_checks_guards_library_callers(self):
+        with pytest.raises(ValueError, match="--grid"):
+            verify.run_checks(grid=1)
+        with pytest.raises(ValueError, match="--samples"):
+            verify.run_checks(samples=0)
+
+
+_SCIPY_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "scipy"]
+
+loaded = {}
+import triphot.cli
+loaded["import triphot.cli"] = scipy_modules()
+import triphot
+loaded["import triphot"] = scipy_modules()
+rc = triphot.cli.main(["verify", "--grid", "11", "--samples", "20"])
+loaded["verify"] = scipy_modules()
+print(json.dumps({"rc": rc, "loaded": loaded}))
+"""
+
+
+class TestLazyImports:
+    def test_cli_and_verify_load_no_scipy(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(triphot.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=env, check=True
+        )
+        report = json.loads(proc.stdout.splitlines()[-1])
+        assert report["rc"] == 0
+        assert report["loaded"] == {"import triphot.cli": [], "import triphot": [], "verify": []}
+
+    def test_synthesis_names_resolve_from_package(self):
+        from triphot import SynthesisProblem, synthesize
+
+        assert synthesize is synthesis.synthesize
+        assert SynthesisProblem is synthesis.SynthesisProblem
+        for name in triphot.__all__:
+            assert getattr(triphot, name) is not None, name
+        with pytest.raises(AttributeError):
+            triphot.no_such_name  # noqa: B018
+
+    def test_free_plate_name_matches_synthesis(self):
+        assert cli._PLATE_NAMES["free"] == synthesis.FREE
+
+    @pytest.mark.parametrize("seed", [12345, 2024])
+    def test_haar_sampler_matches_scipy(self, seed):
+        from scipy.stats import unitary_group
+
+        for n in (1, 2, 500):
+            ours = verify.haar_unitaries(np.random.default_rng(seed), n)
+            theirs = unitary_group.rvs(2, size=n, random_state=np.random.default_rng(seed))
+            assert ours.shape == (n, 2, 2)
+            assert np.max(np.abs(ours - np.reshape(theirs, (n, 2, 2)))) <= 1e-12
+            gram = np.conj(np.swapaxes(ours, -1, -2)) @ ours
+            assert np.max(np.abs(gram - np.eye(2))) <= 1e-12
 
 
 class TestSweepCommand:
@@ -265,6 +344,12 @@ class TestSynthCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "approximate" in out
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_usage_error(self, capsys, tol):
+        rc = main(["synth", "minus->zero", "--plates", "hwp", "--phi", "pi", "--tol", tol])
+        assert rc == 2
+        assert "tolerance" in capsys.readouterr().err
 
     def test_bad_transition(self, capsys):
         assert main(["synth", "minus-to-zero"]) == 2

@@ -201,6 +201,16 @@ class TestAtomicWrites:
         io.atomic_write_text(path, "second\n")
         assert open(path).read() == "second\n"
 
+    @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_mode_follows_umask(self, tmp_path, umask, mode):
+        path = str(tmp_path / "out.csv")
+        old = os.umask(umask)
+        try:
+            io.atomic_write_text(path, "hello\n")
+        finally:
+            os.umask(old)
+        assert os.stat(path).st_mode & 0o777 == mode
+
 
 class TestSweepTableValidation:
     def test_non_increasing_rejected(self):

@@ -152,6 +152,15 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(minus_to_zero(), 4, 1e-8, 0)
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0])
+    def test_refine_tol_validated_before_any_evaluation(self, tol, monkeypatch):
+        def no_eval(*args):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(synthesis, "_objective", no_eval)
+        with pytest.raises(ValueError, match="tolerance"):
+            synthesize(minus_to_zero(), 16, tol, 0)
+
 
 class TestProblemValidation:
     def test_budget_bounds(self):
