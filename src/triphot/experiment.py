@@ -31,6 +31,8 @@ ANALYSIS_CHOICES = ("none", "x", "y")
 # Largest bin count `simulate_counts` accepts: a million CountRecords take
 # about 140 MB.
 MAX_BINS = 10**6
+# Largest grid `sweep` accepts: about 8 MB per array it builds.
+MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,8 @@ def sweep(cfg: ExperimentConfig, parameter: str, start: float, stop: float, step
     """Predicted rates on a uniform, endpoint-inclusive grid of phi or chi."""
     if parameter not in ("phi", "chi"):
         raise ValueError(f"parameter must be 'phi' or 'chi', got {parameter!r}")
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    if not (2 <= steps <= MAX_STEPS):
+        raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
     if not stop > start:
         raise ValueError("stop must exceed start")
     values = np.linspace(start, stop, steps)
@@ -213,7 +215,9 @@ def simulate_counts(
     if duration <= 0.0 or bin_width <= 0.0:
         raise ValueError("duration and bin_width must be positive")
     bins = duration / bin_width + 1e-9
-    if bins > MAX_BINS:
+    # floor(bins) > MAX_BINS, written so that an infinite quotient is caught
+    # before flooring
+    if bins >= MAX_BINS + 1:
         raise ValueError(
             f"duration {duration!r} s in bins of {bin_width!r} s exceeds {MAX_BINS} bins"
         )

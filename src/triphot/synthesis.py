@@ -8,7 +8,9 @@ whether it clears the reachability threshold.
 
 Strategy: a coarse uniform grid over all free angles, then Nelder-Mead
 refinement of the best grid points.  The objective is smooth, low
-dimensional and periodic, so this is cheap and derivative free.  Ties among
+dimensional and periodic, so this is cheap and derivative free.  Both stages
+score candidates with one closed-form kernel, on a single parameter vector or
+on columns of grid points.  Ties among
 symmetric optima are broken toward the lexicographically smallest canonical
 parameters (plate angles in [0, pi), phases in [0, 2*pi)).
 """
@@ -30,6 +32,10 @@ FREE = "free"
 REACHABLE_THRESHOLD = 1.0 - 1e-6
 _MAX_GRID_POINTS = 200_000
 _TWO_PI = 2.0 * math.pi
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT2 = 1.0 / _SQRT2
+# Grid points scored per kernel call: bounds the kernel's temporaries.
+_GRID_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -86,33 +92,62 @@ def _param_count(problem: SynthesisProblem, assignment: tuple) -> int:
     return n + (1 if problem.optimize_source_phase else 0)
 
 
-def _decode(problem: SynthesisProblem, assignment: tuple, params: np.ndarray):
-    """Split a parameter vector into plate specs and an optional source phase."""
-    angles = params[: problem.budget]
+def _decode(problem: SynthesisProblem, assignment: tuple, params):
+    """Split parameters into (retardance, angle) pairs and an optional source
+    phase.  Entries pass through as given: floats for one point, columns for
+    many."""
     cursor = problem.budget
     plates = []
-    for fixed in assignment:
+    for k, fixed in enumerate(assignment):
         if fixed == FREE:
             delta = params[cursor]
             cursor += 1
         else:
             delta = fixed
-        plates.append((float(delta), float(angles[len(plates)])))
-    phase = float(params[cursor]) if problem.optimize_source_phase else None
+        plates.append((delta, params[k]))
+    phase = params[cursor] if problem.optimize_source_phase else None
     return plates, phase
 
 
-def _objective(problem: SynthesisProblem, assignment: tuple, params: np.ndarray) -> float:
+def _fidelity(problem: SynthesisProblem, assignment: tuple, params):
+    """|<target|out>|^2 for one parameter vector or for parameter columns.
+
+    The plates compose as 2x2 Jones matrices in the `optics.retarder`
+    convention, J = cos(d/2) I + i sin(d/2) [[cos 2chi, sin 2chi],
+    [sin 2chi, -cos 2chi]], and the product is lifted entry by entry onto
+    the input state (the `optics.lift` formula).  Only elementwise arithmetic
+    is used, so `params[k]` may be a float or a column of grid points.
+    """
     plates, phase = _decode(problem, assignment, params)
-    if phase is None:
-        state = problem.input_state
-    else:
-        state = source_state(SourceSpec(phase=phase))
-    g = np.eye(3, dtype=complex)
+    a, b, c, d = 1.0, 0.0, 0.0, 1.0
     for delta, chi in plates:
-        g = optics.lift(optics.retarder(delta, chi)) @ g
-    out = g @ state
-    return abs(np.vdot(problem.target, out)) ** 2
+        cos_d = np.cos(0.5 * delta)
+        isin_d = 1j * np.sin(0.5 * delta)
+        p01 = isin_d * np.sin(2.0 * chi)
+        p_diag = isin_d * np.cos(2.0 * chi)
+        p00, p11 = cos_d + p_diag, cos_d - p_diag
+        a, b, c, d = p00 * a + p01 * c, p00 * b + p01 * d, p01 * a + p11 * c, p01 * b + p11 * d
+    if phase is None:
+        s0, s1, s2 = problem.input_state
+    else:  # the ideal balanced source, as `source_state(SourceSpec(phase=phase))`
+        s0, s1, s2 = _INV_SQRT2, 0.0, _INV_SQRT2 * np.exp(1j * phase)
+    t0, t1, t2 = problem.target.conj()
+    amp = (
+        t0 * (a * a * s0 + _SQRT2 * a * b * s1 + b * b * s2)
+        + t1 * (_SQRT2 * a * c * s0 + (a * d + b * c) * s1 + _SQRT2 * b * d * s2)
+        + t2 * (c * c * s0 + _SQRT2 * c * d * s1 + d * d * s2)
+    )
+    return amp.real**2 + amp.imag**2
+
+
+def _grid_fidelities(problem: SynthesisProblem, assignment: tuple, points: np.ndarray):
+    """Kernel values for the rows of `points`, scored a chunk at a time."""
+    values = np.empty(len(points))
+    for lo in range(0, len(points), _GRID_CHUNK):
+        values[lo : lo + _GRID_CHUNK] = _fidelity(
+            problem, assignment, points[lo : lo + _GRID_CHUNK].T
+        )
+    return values
 
 
 def fidelity_objective(problem: SynthesisProblem, params) -> float:
@@ -128,7 +163,7 @@ def fidelity_objective(problem: SynthesisProblem, params) -> float:
     expected = _param_count(problem, assignment)
     if params.shape != (expected,):
         raise ValueError(f"expected {expected} parameters, got shape {params.shape}")
-    return _objective(problem, assignment, params)
+    return float(_fidelity(problem, assignment, params))
 
 
 def realized_fidelity(problem: SynthesisProblem, plates, source_phase) -> float:
@@ -175,6 +210,8 @@ def synthesize(
     """
     if grid_density < 8:
         raise ValueError(f"grid density must be >= 8, got {grid_density}")
+    if grid_density > _MAX_GRID_POINTS:
+        raise ValueError(f"grid density must be <= {_MAX_GRID_POINTS}, got {grid_density}")
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
     rng = np.random.default_rng(seed)
@@ -196,9 +233,7 @@ def synthesize(
         else:
             highs = np.array([math.pi] * problem.budget + [_TWO_PI] * (dims - problem.budget))
             points = rng.uniform(0.0, 1.0, (_MAX_GRID_POINTS, dims)) * highs
-        values = np.empty(len(points))
-        for i, p in enumerate(points):
-            values[i] = _objective(problem, assignment, p)
+        values = _grid_fidelities(problem, assignment, points)
         evaluations += len(points)
 
         order = np.argsort(-values, kind="stable")
@@ -218,7 +253,7 @@ def synthesize(
         )
         for x0 in starts:
             res = minimize(
-                lambda p: -_objective(problem, assignment, p),
+                lambda p: -_fidelity(problem, assignment, p),
                 x0,
                 method="Nelder-Mead",
                 options={"xatol": refine_tol, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
@@ -234,7 +269,7 @@ def synthesize(
     _, _, params, assignment = eligible[0]
     plates, phase = _decode(problem, assignment, np.array(params))
     plate_specs = tuple(PlateSpec(delta, chi) for delta, chi in plates)
-    phase = phase % _TWO_PI if phase is not None else None
+    phase = float(phase) % _TWO_PI if phase is not None else None
     fidelity = realized_fidelity(problem, plate_specs, phase)
     return SynthesisResult(
         plates=plate_specs, source_phase=phase, fidelity=fidelity, evaluations=evaluations

@@ -231,6 +231,18 @@ class TestSweepCommand:
         assert rc == 2
         assert not out_path.exists()
 
+    def test_too_many_steps_is_usage_error(self, fig2_config, tmp_path, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the step count was checked")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        out_path = tmp_path / "big.csv"
+        rc = main(["sweep", fig2_config, "--param", "phi", "--steps", str(10**9),
+                   "-o", str(out_path)])
+        assert rc == 2
+        assert "steps" in capsys.readouterr().err
+        assert not out_path.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(["sweep", str(tmp_path / "nope.yaml"), "--param", "phi", "-o", "x.csv"])
         assert rc == 3
@@ -350,6 +362,16 @@ class TestSynthCommand:
         rc = main(["synth", "minus->zero", "--plates", "hwp", "--phi", "pi", "--tol", tol])
         assert rc == 2
         assert "tolerance" in capsys.readouterr().err
+
+    def test_huge_grid_density_is_usage_error(self, monkeypatch, capsys):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the density was checked")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        rc = main(["synth", "minus->zero", "--plates", "hwp", "--phi", "pi",
+                   "--grid-density", str(10**9)])
+        assert rc == 2
+        assert "grid density" in capsys.readouterr().err
 
     def test_bad_transition(self, capsys):
         assert main(["synth", "minus-to-zero"]) == 2

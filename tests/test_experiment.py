@@ -229,6 +229,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep(cfg, "phi", 1.0, 0.0, 5)
 
+    def test_steps_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(experiment, "MAX_STEPS", 10)
+        cfg = ideal_config(PlateSpec.half(0.0))
+        assert sweep(cfg, "phi", 0.0, 1.0, 10).values.size == 10
+        with pytest.raises(ValueError, match="steps"):
+            sweep(cfg, "phi", 0.0, 1.0, 11)
+
+    def test_too_many_steps_rejected_before_allocation(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the step count was checked")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        cfg = ideal_config(PlateSpec.half(0.0))
+        with pytest.raises(ValueError, match=str(experiment.MAX_STEPS)):
+            sweep(cfg, "phi", 0.0, 1.0, 10**9)
+
 
 class TestPeriodDoubling:
     def test_quarter_wave_period_doubles_half_wave(self):
@@ -326,6 +342,17 @@ class TestSimulateCounts:
         cfg = ideal_config(PlateSpec.half(0.0))
         with pytest.raises(ValueError):
             simulate_counts(cfg, seed=0, duration=duration, bin_width=bin_width)
+
+    @pytest.mark.parametrize("duration,bin_width", [(10.0, 1.0), (0.7, 0.07)])
+    def test_bin_limit_is_inclusive(self, duration, bin_width, monkeypatch):
+        # exactly MAX_BINS bins pass, also when duration / bin_width rounds
+        # below the integer (0.7 / 0.07 = 9.999999999999998); one more bin is
+        # rejected
+        monkeypatch.setattr(experiment, "MAX_BINS", 10)
+        cfg = ideal_config(PlateSpec.half(0.0))
+        assert len(simulate_counts(cfg, seed=1, duration=duration, bin_width=bin_width)) == 10
+        with pytest.raises(ValueError, match="exceeds 10 bins"):
+            simulate_counts(cfg, seed=1, duration=11 * bin_width, bin_width=bin_width)
 
     def test_matches_per_pair_sampler(self):
         # Reference: the per-pair sampler that Poisson thinning replaced.  Per

@@ -1,9 +1,13 @@
 """Tests for plate-setting synthesis."""
 
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
 from triphot import optics, qutrit, synthesis
+from triphot.experiment import SourceSpec, source_state
 from triphot.qutrit import trit_basis
 from triphot.synthesis import (
     SynthesisProblem,
@@ -60,6 +64,91 @@ class TestFidelityObjective:
             for chi in np.linspace(0, PI, 2001)
         )
         assert worst < 1e-12
+
+
+def reference_fidelity(problem, assignment, params):
+    """The per-point chain the kernel replaced: one lift(retarder) per plate,
+    multiplied as 3x3 matrices and applied to the input state."""
+    angles, rest = list(params[: problem.budget]), list(params[problem.budget :])
+    deltas = [rest.pop(0) if r == synthesis.FREE else r for r in assignment]
+    if problem.optimize_source_phase:
+        state = source_state(SourceSpec(phase=rest.pop(0)))
+    else:
+        state = problem.input_state
+    assert not rest
+    g = np.eye(3, dtype=complex)
+    for delta, chi in zip(deltas, angles):
+        g = optics.lift(optics.retarder(delta, chi)) @ g
+    return abs(np.vdot(problem.target, g @ state)) ** 2
+
+
+def random_state(rng):
+    return qutrit.make_state(*(rng.normal(size=3) + 1j * rng.normal(size=3)))
+
+
+def kernel_cases():
+    """Every assignment of a few retardance sets, budgets 1-3, with and
+    without the source phase, on random input and target states."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for budget, retardances, retune in product(
+        (1, 2, 3), ((PI,), (PI / 2, PI), (synthesis.FREE,), (synthesis.FREE, 1.1)), (False, True)
+    ):
+        inp = trit_basis("minus") if retune else random_state(rng)
+        problem = SynthesisProblem(inp, random_state(rng), budget, retardances, retune)
+        for assignment in sorted(set(product(retardances, repeat=budget)), key=repr):
+            cases.append((problem, assignment))
+    return cases
+
+
+def random_params(rng, problem, assignment, n=None):
+    dims = synthesis._param_count(problem, assignment)
+    shape = (dims,) if n is None else (n, dims)
+    return rng.uniform(-2 * PI, 2 * PI, shape)
+
+
+class TestFidelityKernel:
+    def test_single_points_match_reference_chain(self):
+        rng = np.random.default_rng(5)
+        for problem, assignment in kernel_cases():
+            for _ in range(5):
+                p = random_params(rng, problem, assignment)
+                value = synthesis._fidelity(problem, assignment, p)
+                assert abs(value - reference_fidelity(problem, assignment, p)) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("retune", [False, True])
+    def test_chunked_grid_matches_reference_chain(self, budget, retune):
+        rng = np.random.default_rng(budget + 10 * retune)
+        inp = trit_basis("plus") if retune else random_state(rng)
+        problem = SynthesisProblem(inp, random_state(rng), budget, (synthesis.FREE, PI), retune)
+        assignment = (synthesis.FREE, PI, synthesis.FREE)[:budget]
+        chunk = synthesis._GRID_CHUNK
+        n = 2 * chunk + 1809
+        assert n >= 10_000 and n % chunk
+        points = random_params(rng, problem, assignment, n)
+        values = synthesis._grid_fidelities(problem, assignment, points)
+        assert values.shape == (n,)
+        # every chunk edge, and a sample of the rest
+        edges = [0, chunk - 1, chunk, 2 * chunk - 1, 2 * chunk, n - 1]
+        for i in edges + list(rng.choice(n, 200, replace=False)):
+            assert abs(values[i] - reference_fidelity(problem, assignment, points[i])) <= 1e-12
+        singles = [synthesis._fidelity(problem, assignment, p) for p in points]
+        assert np.max(np.abs(values - singles)) <= 1e-12
+
+    def test_free_retardance_grid_memory_is_chunked(self):
+        # 9^5 = 59 049 grid points; scored in one piece they peak near 19 MB
+        problem = SynthesisProblem(
+            trit_basis("plus"), trit_basis("minus"), 2, (synthesis.FREE,), True
+        )
+        tracemalloc.start()
+        try:
+            result = synthesize(problem, 9, 1e-8, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert reachability_report(problem, result) == "reachable"
+        assert peak < 8 * 2**20
 
 
 class TestSynthesize:
@@ -152,12 +241,21 @@ class TestSynthesize:
         with pytest.raises(ValueError):
             synthesize(minus_to_zero(), 4, 1e-8, 0)
 
+    def test_huge_grid_density_rejected_before_allocation(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("grid allocated before the density was checked")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        monkeypatch.setattr(synthesis, "_grid_axes", no_grid)
+        with pytest.raises(ValueError, match=str(synthesis._MAX_GRID_POINTS)):
+            synthesize(minus_to_zero(), 10**9, 1e-8, 0)
+
     @pytest.mark.parametrize("tol", [float("nan"), -1.0])
     def test_refine_tol_validated_before_any_evaluation(self, tol, monkeypatch):
         def no_eval(*args):
             raise AssertionError("objective evaluated")
 
-        monkeypatch.setattr(synthesis, "_objective", no_eval)
+        monkeypatch.setattr(synthesis, "_fidelity", no_eval)
         with pytest.raises(ValueError, match="tolerance"):
             synthesize(minus_to_zero(), 16, tol, 0)
 
