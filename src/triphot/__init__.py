@@ -61,19 +61,13 @@ from .experiment import (
     visibility,
 )
 
-# synthesis pulls in scipy.optimize, so its names load on first use (PEP 562).
-_SYNTHESIS_NAMES = frozenset(
-    {"SynthesisProblem", "SynthesisResult", "fidelity_objective", "reachability_report", "synthesize"}
+from .synthesis import (
+    SynthesisProblem,
+    SynthesisResult,
+    fidelity_objective,
+    reachability_report,
+    synthesize,
 )
-
-
-def __getattr__(name):
-    if name in _SYNTHESIS_NAMES:
-        from . import synthesis
-
-        return getattr(synthesis, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "__version__",

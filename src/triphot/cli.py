@@ -18,7 +18,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from . import __version__, io, observables, qutrit
+from . import __version__, io, observables, qutrit, synthesis, verify
 from .errors import ConfigError
 from .experiment import SourceSpec, simulate_counts, source_state, sweep
 from .optics import PlateSpec
@@ -101,8 +101,6 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_verify(args) -> int:
-    from . import verify
-
     results = verify.run_checks(args.grid, args.samples, args.seed)
     print(f"triphot verify: grid {args.grid}x{args.grid}, {args.samples} samples, seed {args.seed}")
     for res in results:
@@ -192,8 +190,7 @@ def cmd_stokes(args) -> int:
     return 0
 
 
-# "free" is synthesis.FREE, spelled out so the table loads without synthesis.
-_PLATE_NAMES = {"hwp": np.pi, "qwp": np.pi / 2, "free": "free"}
+_PLATE_NAMES = {"hwp": np.pi, "qwp": np.pi / 2, "free": synthesis.FREE}
 
 
 def _plate_name(retardance: float) -> str:
@@ -205,8 +202,6 @@ def _plate_name(retardance: float) -> str:
 
 
 def cmd_synth(args) -> int:
-    from . import synthesis
-
     match = re.match(r"^\s*(\w+)\s*(?:->|→)\s*(\w+)\s*$", args.transition)
     if not match:
         raise ConfigError(

@@ -150,7 +150,9 @@ def qwp_law(chi: float, phi: float) -> float:
     ) ** 2
 
 
-def predict_rate(cfg: ExperimentConfig, phi: float | None = None, chi: float | None = None) -> float:
+def predict_rate(
+    cfg: ExperimentConfig, phi: float | np.ndarray | None = None, chi: float | None = None
+) -> float | np.ndarray:
     """Expected coincidence rate (counts/second), jitter-averaged exactly.
 
     The plate and the optional analysis block (polarizer, then a half-wave
@@ -159,12 +161,13 @@ def predict_rate(cfg: ExperimentConfig, phi: float | None = None, chi: float | N
     |alpha + beta e^{i theta}|^2 * eta1 * eta2, a single harmonic in theta,
     so Gaussian jitter of width sigma damps the interference term by
     exp(-sigma^2/2).  With sigma = 0 the value equals the deterministic
-    pipeline probability times the pair rate, plus accidentals.
+    pipeline probability times the pair rate, plus accidentals.  An array
+    `phi` (source phase override) gives an array of rates from that one lift.
     """
     if phi is not None and chi is not None:
         raise ValueError("override at most one of phi and chi")
     plate = cfg.plate if chi is None else replace(cfg.plate, angle=chi)
-    phase = cfg.source.phase if phi is None else float(phi)
+    phase = cfg.source.phase if phi is None else phi
     jones = optics.retarder(plate.retardance, plate.angle)
     if cfg.analysis != "none":
         jones = optics.half_wave(np.pi / 8) @ optics.polarizer(cfg.analysis) @ jones
@@ -287,22 +290,3 @@ def calibrate_loss_for_visibility(v: float) -> float:
     if not (0.0 < v <= 1.0):
         raise ValueError(f"visibility must be in (0, 1], got {v!r}")
     return (1.0 - math.sqrt(max(1.0 - v * v, 0.0))) / v
-
-
-def plate_prob_grid(delta: float, chis: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """Pipeline Fock weights |c_i|^2 over a (chi, phi) grid for one retardance.
-
-    Lift-and-apply evaluated on the ideal source state; returns an array of
-    shape (len(chis), len(phis), 3).  Vectorized over phi for speed; the
-    arithmetic path is identical to apply(lift(retarder(...)), source_state).
-    """
-    chis = np.asarray(chis, dtype=float)
-    phis = np.asarray(phis, dtype=float)
-    states = np.zeros((3, phis.size), dtype=complex)
-    states[0] = 1.0 / np.sqrt(2.0)
-    states[2] = np.exp(1j * phis) / np.sqrt(2.0)
-    out = np.empty((chis.size, phis.size, 3))
-    for i, chi in enumerate(chis):
-        g = optics.lift(optics.retarder(delta, chi))
-        out[i] = (np.abs(g @ states) ** 2).T
-    return out

@@ -77,14 +77,31 @@ def parse_retardance(value) -> float:
     return float(value)
 
 
+# Fields a config may hold: any other key is a typo that would otherwise
+# leave its field at the default.
+_SECTION_FIELDS = {
+    "source": {"phase", "t20", "t02", "phase_jitter", "pair_rate"},
+    "plate": {"retardance", "angle"},
+}
+_TOP_FIELDS = {*_SECTION_FIELDS, "analysis", "eta1", "eta2", "accidental_rate"}
+
+
+def _reject_unknown(node: dict, prefix: str, known) -> None:
+    unknown = sorted(f"{prefix}{key}" for key in node if key not in known)
+    if unknown:
+        raise ConfigError(f"unknown field(s): {', '.join(unknown)}")
+
+
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a nested mapping, with field diagnostics."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"config root must be a mapping, got {type(mapping).__name__}")
-    known = {"source", "plate", "analysis", "eta1", "eta2", "accidental_rate"}
-    unknown = set(mapping) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level field(s): {', '.join(sorted(unknown))}")
+    _reject_unknown(mapping, "", _TOP_FIELDS)
+    for section, fields in _SECTION_FIELDS.items():
+        node = mapping.get(section, {})
+        if not isinstance(node, dict):
+            raise ConfigError(f"{section}: expected a mapping, got {node!r}")
+        _reject_unknown(node, f"{section}.", fields)
     try:
         source = SourceSpec(
             phase=_get(mapping, "source.phase", float, 0.0),

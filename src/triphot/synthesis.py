@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import optics, qutrit
 from .experiment import SourceSpec, source_state
@@ -36,6 +35,14 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 # Grid points scored per kernel call: bounds the kernel's temporaries.
 _GRID_CHUNK = 4096
+
+
+def minimize(*args, **kwargs):
+    """`scipy.optimize.minimize`, imported on first call: scipy loads only
+    when a synthesis reaches refinement."""
+    from scipy import optimize
+
+    return optimize.minimize(*args, **kwargs)
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ from triphot import (
     trit_basis,
     visibility,
 )
-from triphot.experiment import ExperimentConfig, fundamental_period, hwp_law, plate_prob_grid, qwp_law
+from triphot.experiment import ExperimentConfig, fundamental_period, hwp_law, qwp_law
 from triphot.optics import PlateSpec
 from triphot.synthesis import FREE
 
@@ -59,11 +59,23 @@ def symmetric_restriction(j):
     return basis.conj().T @ np.kron(j, j) @ basis
 
 
+def pipeline_weights(delta, chis, phis):
+    """Fock weights |c_i|^2 behind a plate on the ideal source, read off
+    predict_rate: |c2|^2 directly, |c1|^2/2 and |c3|^2/2 behind the x and y
+    analysis blocks.  Shape (len(chis), len(phis), 3)."""
+    out = np.empty((len(chis), len(phis), 3))
+    for i, chi in enumerate(chis):
+        for k, (analysis, scale) in enumerate((("x", 2.0), ("none", 1.0), ("y", 2.0))):
+            cfg = ExperimentConfig(SourceSpec(), PlateSpec(delta, chi), analysis)
+            out[i, :, k] = scale * predict_rate(cfg, phi=phis)
+    return out
+
+
 def test_criterion_01_half_wave_closed_form():
     t0 = time.perf_counter()
     chis = np.linspace(0.0, PI, 101)
     phis = np.linspace(0.0, 2 * PI, 101)
-    probs = plate_prob_grid(PI, chis, phis)
+    probs = pipeline_weights(PI, chis, phis)
     c1sq, c2sq, c3sq = hwp_law(chis[:, None], phis[None, :])
     law = np.stack([c1sq, c2sq, c3sq], axis=-1)
     residual = float(np.max(np.abs(probs - law)))
@@ -79,10 +91,10 @@ def test_criterion_01_half_wave_closed_form():
 def test_criterion_02_quarter_wave_closed_form_and_pin():
     chis = np.linspace(0.0, PI, 101)
     phis = np.linspace(0.0, 2 * PI, 101)
-    probs = plate_prob_grid(PI / 2, chis, phis)
+    probs = pipeline_weights(PI / 2, chis, phis)
     law = qwp_law(chis[:, None], phis[None, :])
     residual = float(np.max(np.abs(probs[:, :, 1] - law)))
-    pin_pipeline = plate_prob_grid(PI / 2, np.array([PI / 8]), np.array([PI / 2]))[0, 0, 1]
+    pin_pipeline = predict_rate(ExperimentConfig(SourceSpec(), PlateSpec.quarter(PI / 8)), phi=PI / 2)
     pin_residual = max(
         abs(pin_pipeline - qwp_law(PI / 8, PI / 2)), abs(pin_pipeline - QWP_PIN_VALUE)
     )

@@ -85,10 +85,35 @@ class TestVerify:
         half_lines = [l for l in out.splitlines() if "half-wave" in l]
         assert half_lines and all("PASS" in l for l in half_lines)
 
+    def test_shifted_analysis_half_wave_fails_half_wave_grid(self, capsys, monkeypatch):
+        # the suites read predict_rate, so they check the analysis block too
+        frozen = optics.half_wave
+        monkeypatch.setattr(optics, "half_wave", lambda chi: frozen(chi + 0.05))
+        rc = main(["verify", "--grid", "21", "--samples", "60"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        half_lines = [l for l in out.splitlines() if "half-wave closed form grid" in l]
+        assert half_lines and all("FAIL" in l for l in half_lines)
+
     @pytest.mark.parametrize(
-        "flag,value", [("--grid", "1"), ("--grid", "0"), ("--samples", "0"), ("--samples", "-3")]
+        "flag,value",
+        [
+            ("--grid", "1"),
+            ("--grid", "0"),
+            ("--samples", "0"),
+            ("--samples", "-3"),
+            ("--grid", str(verify.MAX_GRID + 1)),
+            ("--grid", "20001"),
+            ("--samples", str(verify.MAX_SAMPLES + 1)),
+            ("--samples", str(10**9)),
+        ],
     )
-    def test_too_small_grid_or_samples_is_usage_error(self, capsys, flag, value):
+    def test_too_small_grid_or_samples_is_usage_error(self, capsys, monkeypatch, flag, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated before the size check")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        monkeypatch.setattr(verify, "haar_unitaries", refuse)
         assert main(["verify", flag, value]) == 2
         captured = capsys.readouterr()
         assert flag in captured.err
@@ -110,11 +135,15 @@ def scipy_modules():
 loaded = {}
 import triphot.cli
 loaded["import triphot.cli"] = scipy_modules()
+with_cli = sorted(m for m in ("triphot.synthesis", "triphot.verify") if m in sys.modules)
 import triphot
 loaded["import triphot"] = scipy_modules()
 rc = triphot.cli.main(["verify", "--grid", "11", "--samples", "20"])
 loaded["verify"] = scipy_modules()
-print(json.dumps({"rc": rc, "loaded": loaded}))
+problem = triphot.SynthesisProblem(triphot.trit_basis("minus"), triphot.trit_basis("zero"))
+triphot.synthesize(problem, grid_density=8)
+refined = "scipy.optimize" in sys.modules
+print(json.dumps({"rc": rc, "loaded": loaded, "with_cli": with_cli, "refined": refined}))
 """
 
 
@@ -128,6 +157,9 @@ class TestLazyImports:
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report["rc"] == 0
         assert report["loaded"] == {"import triphot.cli": [], "import triphot": [], "verify": []}
+        # the CLI loads synthesis and verify up front; scipy waits for refinement
+        assert report["with_cli"] == ["triphot.synthesis", "triphot.verify"]
+        assert report["refined"]
 
     def test_synthesis_names_resolve_from_package(self):
         from triphot import SynthesisProblem, synthesize
@@ -194,7 +226,8 @@ class TestSweepCommand:
         out_path = str(tmp_path / "fig2.yaml")
         rc = main(["sweep", fig2_config, "--param", "phi", "--steps", "11", "-o", out_path])
         assert rc == 0
-        doc = yaml.safe_load(open(out_path))
+        with open(out_path) as handle:
+            doc = yaml.safe_load(handle)
         assert doc["kind"] == "sweep" and len(doc["points"]) == 11
 
     def test_override_flags(self, fig2_config, tmp_path, capsys):
@@ -258,13 +291,26 @@ class TestSweepCommand:
             main(["sweep", fig2_config, "--param", "phi", "-o", "x.csv", "--wibble", "3"])
         assert err.value.code == 2
 
+    def test_config_typo_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "typo.yaml"
+        config.write_text(
+            "source: {phas: 3.0, pair_rat: 500}\n"
+            "plate: {retardance: half, angle: 0.3, angel: 1.0}\n"
+        )
+        out_path = tmp_path / "t.csv"
+        rc = main(["sweep", str(config), "--param", "chi", "--steps", "3", "-o", str(out_path)])
+        assert rc == 2
+        assert "source.phas" in capsys.readouterr().err
+        assert not out_path.exists()
+
 
 class TestMcCommand:
     def test_seeded_runs_byte_identical(self, fig2_config, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         assert main(["mc", fig2_config, "--seed", "42", "--duration", "50", "-o", p1]) == 0
         assert main(["mc", fig2_config, "--seed", "42", "--duration", "50", "-o", p2]) == 0
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        with open(p1, "rb") as a, open(p2, "rb") as b:
+            assert a.read() == b.read()
 
     def test_infinite_duration_is_usage_error(self, fig2_config, tmp_path, capsys):
         out_path = tmp_path / "inf.csv"

@@ -29,6 +29,17 @@ def ideal_config(plate, analysis="none", **kwargs):
     return ExperimentConfig(source=source, plate=plate, analysis=analysis)
 
 
+def pipeline_weights(delta, chis, phis):
+    """Fock weights |c_i|^2 behind a plate on the ideal source, read off
+    predict_rate: |c2|^2 directly, |c1|^2/2 and |c3|^2/2 behind the x and y
+    analysis blocks.  Shape (len(chis), len(phis), 3)."""
+    out = np.empty((len(chis), len(phis), 3))
+    for i, chi in enumerate(chis):
+        for k, (analysis, scale) in enumerate((("x", 2.0), ("none", 1.0), ("y", 2.0))):
+            out[i, :, k] = scale * predict_rate(ideal_config(PlateSpec(delta, chi), analysis), phi=phis)
+    return out
+
+
 class TestSourceState:
     def test_phase_zero_is_psi_plus(self):
         s = source_state(SourceSpec(phase=0.0))
@@ -81,7 +92,7 @@ class TestClosedFormLaws:
     def test_pipeline_matches_hwp_law_on_grid(self):
         chis = np.linspace(0.0, PI, 41)
         phis = np.linspace(0.0, 2 * PI, 41)
-        probs = experiment.plate_prob_grid(PI, chis, phis)
+        probs = pipeline_weights(PI, chis, phis)
         for i, chi in enumerate(chis):
             for k, phi in enumerate(phis):
                 assert np.max(np.abs(probs[i, k] - np.array(hwp_law(chi, phi)))) < 1e-12
@@ -89,25 +100,56 @@ class TestClosedFormLaws:
     def test_pipeline_matches_qwp_law_on_grid(self):
         chis = np.linspace(0.0, PI, 41)
         phis = np.linspace(0.0, 2 * PI, 41)
-        probs = experiment.plate_prob_grid(PI / 2, chis, phis)
+        probs = pipeline_weights(PI / 2, chis, phis)
         law = qwp_law(chis[:, None], phis[None, :])
         assert np.max(np.abs(probs[:, :, 1] - law)) < 1e-12
 
     def test_pipeline_pin_point(self):
-        probs = experiment.plate_prob_grid(PI / 2, np.array([PI / 8]), np.array([PI / 2]))
-        assert abs(probs[0, 0, 1] - 0.7285533905932737) < 1e-12
+        rate = predict_rate(ideal_config(PlateSpec.quarter(PI / 8)), phi=PI / 2)
+        assert abs(rate - 0.7285533905932737) < 1e-12
 
     def test_grid_matches_scalar_pipeline(self):
+        # An array phi gives the scalar calls' rates, and both equal
+        # lift-and-apply on the source state: the rate is linear in
+        # cos(theta), so with p(d) the pipeline probability at jitter draw d
+        # its jitter average is (p(0) + p(pi))/2 + damp * (p(0) - p(pi))/2.
         rng = np.random.default_rng(30)
-        for _ in range(20):
-            delta = rng.choice([PI, PI / 2])
-            chi = rng.uniform(0, PI)
-            phi = rng.uniform(0, 2 * PI)
-            grid = experiment.plate_prob_grid(delta, np.array([chi]), np.array([phi]))[0, 0]
-            state = optics.apply(
-                optics.lift(optics.retarder(delta, chi)), source_state(SourceSpec(phase=phi))
-            )
-            assert np.max(np.abs(grid - np.abs(state) ** 2)) < 1e-14
+        phis = np.linspace(0.0, 2 * PI, 33)
+        for analysis in ("none", "x", "y"):
+            for jitter in (0.0, 0.8):
+                cfg = ExperimentConfig(
+                    source=SourceSpec(
+                        t20=rng.uniform(0.2, 1.0),
+                        t02=rng.uniform(0.2, 1.0),
+                        phase_jitter=jitter,
+                        pair_rate=300.0,
+                    ),
+                    plate=PlateSpec(rng.choice([PI, PI / 2, rng.uniform(0, 2 * PI)]), rng.uniform(0, PI)),
+                    analysis=analysis,
+                    eta1=rng.uniform(0.1, 1.0),
+                    eta2=rng.uniform(0.1, 1.0),
+                    accidental_rate=rng.uniform(0.0, 0.5),
+                )
+                rates = predict_rate(cfg, phi=phis)
+                assert rates.shape == phis.shape
+                scalar = np.array([predict_rate(cfg, phi=phi) for phi in phis])
+                bound = 1e-15 * (cfg.source.pair_rate + cfg.accidental_rate)
+                assert np.max(np.abs(rates - scalar)) <= bound
+                g = optics.lift(optics.retarder(cfg.plate.retardance, cfg.plate.angle))
+                damp = np.exp(-0.5 * jitter**2)
+                for phi, rate in zip(phis, rates):
+                    src = SourceSpec(phase=phi, t20=cfg.source.t20, t02=cfg.source.t02)
+                    p0, p_pi = (
+                        observables.coincidence_probability(
+                            optics.apply(g, source_state(src, draw)), cfg.mode, cfg.eta1, cfg.eta2
+                        )
+                        for draw in (0.0, PI)
+                    )
+                    expected = (
+                        cfg.source.pair_rate * ((p0 + p_pi) / 2 + damp * (p0 - p_pi) / 2)
+                        + cfg.accidental_rate
+                    )
+                    assert abs(rate - expected) < 1e-12 * max(1.0, expected)
 
     def test_half_wave_leaves_plus_alone(self):
         # at phi = 0 a half-wave plate at any angle keeps the |1,1> weight at

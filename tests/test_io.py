@@ -1,6 +1,7 @@
 """Tests for config files and result serialization."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -68,11 +69,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="plate.retardance"):
             io.load_config(write(tmp_path, "plate: {retardance: third, angle: 0}\n"))
 
-    def test_unknown_top_level_field(self, tmp_path):
-        with pytest.raises(ConfigError, match="detector"):
-            io.load_config(
-                write(tmp_path, "detector: 3\nplate: {retardance: half, angle: 0}\n")
-            )
+    @pytest.mark.parametrize(
+        "text,path",
+        [
+            ("detector: 3\nplate: {retardance: half, angle: 0}\n", "detector"),
+            ("source: {phas: 3.0}\nplate: {retardance: half, angle: 0}\n", "source.phas"),
+            ("plate: {retardance: half, angle: 0.3, angel: 1.0}\n", "plate.angel"),
+            ("source: 3\nplate: {retardance: half, angle: 0}\n", "source"),
+        ],
+        ids=["detector", "source.phas", "plate.angel", "source-not-mapping"],
+    )
+    def test_unknown_field(self, tmp_path, text, path):
+        with pytest.raises(ConfigError, match=path):
+            io.load_config(write(tmp_path, text))
 
     def test_yaml_syntax_error_has_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line"):
@@ -131,7 +140,7 @@ class TestRoundTrips:
         table = sweep(cfg, "phi", 0.0, 2 * np.pi, 5)
         path = str(tmp_path / "table.csv")
         io.write_sweep_csv(table, path)
-        first = open(path).readline().strip()
+        first = Path(path).read_text().splitlines()[0].strip()
         assert first == "# triphot v1"
 
     def test_reject_foreign_file(self, tmp_path):
@@ -170,7 +179,7 @@ class TestRoundTrips:
         table = sweep(cfg, "chi", 0.0, np.pi, 9)
         path = str(tmp_path / "table.yaml")
         io.write_sweep_yaml(table, path)
-        doc = yaml.safe_load(open(path))
+        doc = yaml.safe_load(Path(path).read_text())
         assert doc["triphot"] == "v1"
         assert doc["kind"] == "sweep"
         assert doc["parameter"] == "chi"
@@ -182,7 +191,7 @@ class TestRoundTrips:
         cfg = sample_config()
         path = str(tmp_path / "counts.yaml")
         io.write_counts_yaml([CountRecord(0.0, 2)], cfg, path, {"seed": 1})
-        doc = yaml.safe_load(open(path))
+        doc = yaml.safe_load(Path(path).read_text())
         assert doc["kind"] == "counts"
         assert doc["bins"] == [{"t_start": 0.0, "coincidences": 2}]
 
@@ -191,7 +200,7 @@ class TestAtomicWrites:
     def test_no_temp_files_left(self, tmp_path):
         path = str(tmp_path / "out.csv")
         io.atomic_write_text(path, "hello\n")
-        assert open(path).read() == "hello\n"
+        assert Path(path).read_text() == "hello\n"
         leftovers = [n for n in os.listdir(tmp_path) if n != "out.csv"]
         assert leftovers == []
 
@@ -199,7 +208,7 @@ class TestAtomicWrites:
         path = str(tmp_path / "out.csv")
         io.atomic_write_text(path, "first\n")
         io.atomic_write_text(path, "second\n")
-        assert open(path).read() == "second\n"
+        assert Path(path).read_text() == "second\n"
 
     @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
     def test_mode_follows_umask(self, tmp_path, umask, mode):
