@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import replace
 
 import numpy as np
 import yaml
@@ -51,36 +50,37 @@ def _echo_config(cfg) -> None:
     print(yaml.safe_dump({"resolved_config": io.config_to_mapping(cfg)}, sort_keys=False), end="")
 
 
+def _parse_retardance_flag(text: str, degrees: bool):
+    name = text.strip().lower()
+    return name if name in io.RETARDANCE_NAMES else parse_angle(name, degrees)
+
+
+# Override flag (argparse dest) -> (config section or None for the top level,
+# field, parser for the flag's text or None for a value argparse has typed).
+_OVERRIDES = {
+    "phi": ("source", "phase", parse_angle),
+    "t20": ("source", "t20", None),
+    "t02": ("source", "t02", None),
+    "jitter": ("source", "phase_jitter", None),
+    "pair_rate": ("source", "pair_rate", None),
+    "chi": ("plate", "angle", parse_angle),
+    "retardance": ("plate", "retardance", _parse_retardance_flag),
+    "analysis": (None, "analysis", None),
+    "eta1": (None, "eta1", None),
+    "eta2": (None, "eta2", None),
+    "accidental_rate": (None, "accidental_rate", None),
+}
+
+
 def _apply_overrides(cfg, args):
-    source = cfg.source
-    plate = cfg.plate
-    deg = getattr(args, "deg", False)
-    if args.phi is not None:
-        source = replace(source, phase=parse_angle(args.phi, deg))
-    if args.t20 is not None:
-        source = replace(source, t20=args.t20)
-    if args.t02 is not None:
-        source = replace(source, t02=args.t02)
-    if args.jitter is not None:
-        source = replace(source, phase_jitter=args.jitter)
-    if args.pair_rate is not None:
-        source = replace(source, pair_rate=args.pair_rate)
-    if args.chi is not None:
-        plate = replace(plate, angle=parse_angle(args.chi, deg))
-    if args.retardance is not None:
-        name = args.retardance.strip().lower()
-        value = name if name in io.RETARDANCE_NAMES else parse_angle(name, deg)
-        plate = replace(plate, retardance=io.parse_retardance(value))
-    cfg = replace(cfg, source=source, plate=plate)
-    if args.analysis is not None:
-        cfg = replace(cfg, analysis=args.analysis)
-    if args.eta1 is not None:
-        cfg = replace(cfg, eta1=args.eta1)
-    if args.eta2 is not None:
-        cfg = replace(cfg, eta2=args.eta2)
-    if args.accidental_rate is not None:
-        cfg = replace(cfg, accidental_rate=args.accidental_rate)
-    return cfg
+    """Set the given flags on `cfg`'s mapping and validate it once, as a config file."""
+    mapping = io.config_to_mapping(cfg)
+    for dest, (section, field, parse) in _OVERRIDES.items():
+        value = getattr(args, dest)
+        if value is not None:
+            node = mapping[section] if section else mapping
+            node[field] = parse(value, args.deg) if parse else value
+    return io.config_from_mapping(mapping)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:

@@ -18,7 +18,7 @@ visibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,15 @@ ANALYSIS_CHOICES = ("none", "x", "y")
 MAX_BINS = 10**6
 # Largest grid `sweep` accepts: about 8 MB per array it builds.
 MAX_STEPS = 10**6
+
+
+def _store_floats(spec) -> None:
+    """Store the float-annotated fields as plain floats, so a numpy scalar
+    passed in writes to YAML and JSON like any other value.  (Annotations
+    are strings in this module: `from __future__ import annotations`.)"""
+    for field in fields(spec):
+        if field.type == "float":
+            object.__setattr__(spec, field.name, float(getattr(spec, field.name)))
 
 
 @dataclass(frozen=True)
@@ -64,6 +73,7 @@ class SourceSpec:
             raise ValueError(f"pair_rate must be finite and > 0, got {self.pair_rate!r}")
         if not np.isfinite(self.phase):
             raise ValueError("phase must be finite")
+        _store_floats(self)
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,7 @@ class ExperimentConfig:
             raise ValueError(
                 f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}"
             )
+        _store_floats(self)
 
     @property
     def mode(self) -> str:

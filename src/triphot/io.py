@@ -1,24 +1,25 @@
 """Config files and result serialization.
 
-Experiment configs are YAML documents (schema in the README).  Sweep tables
-and count records are written as CSV with the `# triphot v1` header line and
-the resolved config echoed as one-line JSON comments, or as an equivalent
-YAML document.  All writes are atomic (temp file then rename).
+Experiment configs are YAML documents whose schema is the config
+dataclasses (documented in the README).  Sweep tables and count records are
+written as CSV with the `# triphot v1` header line and the resolved config
+echoed as one-line JSON comments, or as an equivalent YAML document.  All writes are atomic (temp file then rename).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
 import tempfile
+import typing
 
 import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .experiment import CountRecord, ExperimentConfig, SourceSpec, SweepTable
-from .optics import PlateSpec
+from .experiment import CountRecord, ExperimentConfig, SweepTable
 
 CSV_MAGIC = "# triphot v1"
 
@@ -43,110 +44,65 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def _get(mapping, path, typ, default=None, required=False):
-    node = mapping
-    for key in path.split(".")[:-1]:
-        node = node.get(key, {}) if isinstance(node, dict) else {}
-    leaf = path.split(".")[-1]
-    if not isinstance(node, dict) or leaf not in node:
-        if required:
-            raise ConfigError(f"{path}: missing required field")
-        return default
-    value = node[leaf]
-    if typ is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if typ is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{path}: expected a string, got {value!r}")
-        return value
-    return value
-
-
 def parse_retardance(value) -> float:
     """Plate retardance in radians from 'half', 'quarter' or a number."""
-    if isinstance(value, str):
-        if value in RETARDANCE_NAMES:
-            return RETARDANCE_NAMES[value]
-        raise ConfigError(
-            f"plate.retardance: expected 'half', 'quarter' or radians, got {value!r}"
-        )
+    if isinstance(value, str) and value in RETARDANCE_NAMES:
+        return RETARDANCE_NAMES[value]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"plate.retardance: expected 'half', 'quarter' or radians, got {value!r}")
     return float(value)
 
 
-# Fields a config may hold: any other key is a typo that would otherwise
-# leave its field at the default.
-_SECTION_FIELDS = {
-    "source": {"phase", "t20", "t02", "phase_jitter", "pair_rate"},
-    "plate": {"retardance", "angle"},
-}
-_TOP_FIELDS = {*_SECTION_FIELDS, "analysis", "eta1", "eta2", "accidental_rate"}
+def _build(cls, node, section: str = ""):
+    """Instantiate config dataclass `cls` from a mapping.
 
-
-def _reject_unknown(node: dict, prefix: str, known) -> None:
-    unknown = sorted(f"{prefix}{key}" for key in node if key not in known)
+    The dataclass is the schema: its fields are the allowed keys, a field
+    without a default is required, a dataclass-typed field is a nested
+    section (an absent one takes its own defaults), and the annotation is
+    the type each value is checked against.
+    """
+    if not isinstance(node, dict):
+        raise ConfigError(f"{section}: expected a mapping, got {node!r}")
+    prefix = f"{section}." if section else ""
+    hints = typing.get_type_hints(cls)
+    # Any other key is a typo that would otherwise leave its field at the default.
+    unknown = sorted(f"{prefix}{key}" for key in node if key not in hints)
     if unknown:
         raise ConfigError(f"unknown field(s): {', '.join(unknown)}")
+    kwargs = {}
+    for field in dataclasses.fields(cls):
+        path, typ, value = prefix + field.name, hints[field.name], node.get(field.name)
+        if dataclasses.is_dataclass(typ):
+            kwargs[field.name] = _build(typ, node.get(field.name, {}), path)
+        elif field.name not in node:
+            if field.default is dataclasses.MISSING:
+                raise ConfigError(f"{path}: missing required field")
+        elif path == "plate.retardance":
+            kwargs[field.name] = parse_retardance(value)
+        elif typ is float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{path}: expected a number, got {value!r}")
+            kwargs[field.name] = float(value)
+        elif isinstance(value, typ):
+            kwargs[field.name] = value
+        else:
+            raise ConfigError(f"{path}: expected {typ.__name__}, got {value!r}")
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}" if section else str(exc)) from exc
 
 
 def config_from_mapping(mapping: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a nested mapping, with field diagnostics."""
     if not isinstance(mapping, dict):
         raise ConfigError(f"config root must be a mapping, got {type(mapping).__name__}")
-    _reject_unknown(mapping, "", _TOP_FIELDS)
-    for section, fields in _SECTION_FIELDS.items():
-        node = mapping.get(section, {})
-        if not isinstance(node, dict):
-            raise ConfigError(f"{section}: expected a mapping, got {node!r}")
-        _reject_unknown(node, f"{section}.", fields)
-    try:
-        source = SourceSpec(
-            phase=_get(mapping, "source.phase", float, 0.0),
-            t20=_get(mapping, "source.t20", float, 1.0),
-            t02=_get(mapping, "source.t02", float, 1.0),
-            phase_jitter=_get(mapping, "source.phase_jitter", float, 0.0),
-            pair_rate=_get(mapping, "source.pair_rate", float, 1.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"source: {exc}") from exc
-    retardance = parse_retardance(_get(mapping, "plate.retardance", object, required=True))
-    angle = _get(mapping, "plate.angle", float, required=True)
-    try:
-        config = ExperimentConfig(
-            source=source,
-            plate=PlateSpec(retardance, angle),
-            analysis=_get(mapping, "analysis", str, "none"),
-            eta1=_get(mapping, "eta1", float, 1.0),
-            eta2=_get(mapping, "eta2", float, 1.0),
-            accidental_rate=_get(mapping, "accidental_rate", float, 0.0),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from exc
-    return config
+    return _build(ExperimentConfig, mapping)
 
 
 def config_to_mapping(cfg: ExperimentConfig) -> dict:
-    return {
-        "source": {
-            "phase": cfg.source.phase,
-            "t20": cfg.source.t20,
-            "t02": cfg.source.t02,
-            "phase_jitter": cfg.source.phase_jitter,
-            "pair_rate": cfg.source.pair_rate,
-        },
-        "plate": {"retardance": cfg.plate.retardance, "angle": cfg.plate.angle},
-        "analysis": cfg.analysis,
-        "eta1": cfg.eta1,
-        "eta2": cfg.eta2,
-        "accidental_rate": cfg.accidental_rate,
-    }
+    """The nested mapping `config_from_mapping` reads back into `cfg`."""
+    return dataclasses.asdict(cfg)
 
 
 def load_config(path: str) -> ExperimentConfig:

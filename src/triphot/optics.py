@@ -17,6 +17,7 @@ phi=pi/2; a regression test pins this choice.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,10 +69,13 @@ class PlateSpec:
     angle: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.retardance) and np.isfinite(self.angle)):
-            raise ValueError("plate parameters must be finite")
-        object.__setattr__(self, "retardance", float(self.retardance) % _TWO_PI)
-        object.__setattr__(self, "angle", float(self.angle) % np.pi)
+        for name, period in (("retardance", _TWO_PI), ("angle", np.pi)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            # float % rounds a tiny negative value up to the period itself.
+            value = float(value) % period
+            object.__setattr__(self, name, 0.0 if value == period else value)
 
     @classmethod
     def half(cls, chi: float) -> "PlateSpec":

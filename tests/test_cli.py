@@ -5,9 +5,13 @@ import os
 import subprocess
 import sys
 
+import math
+
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given
+from hypothesis import strategies as st
 
 import triphot
 from triphot import cli, io, optics, synthesis, verify
@@ -442,3 +446,84 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestOverridesShareConfigParser:
+    @pytest.mark.parametrize("ext", ["csv", "yaml"])
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--param", "chi", "--steps", "5"], ["mc", "--duration", "3"]],
+        ids=["sweep", "mc"],
+    )
+    def test_degree_phase_writes(self, fig2_config, tmp_path, capsys, command, ext):
+        out_path = tmp_path / f"out.{ext}"
+        argv = [command[0], fig2_config, *command[1:], "--deg", "--phi", "90", "-o", str(out_path)]
+        assert main(argv) == 0
+        assert "  phase: 1.5707963267948966\n" in capsys.readouterr().out
+        assert out_path.exists()
+
+    def test_flags_checked_together_on_final_config(self, tmp_path):
+        config = tmp_path / "t02.yaml"
+        config.write_text("source: {t02: 0}\nplate: {retardance: half, angle: 0}\n")
+        out_path = str(tmp_path / "s.csv")
+        rc = main(["sweep", str(config), "--param", "phi", "--steps", "3", "-o", out_path,
+                   "--t20", "0", "--t02", "1"])
+        assert rc == 0
+        source = io.read_sweep_csv(out_path).config.source
+        assert (source.t20, source.t02) == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "flag,value,path",
+        [("--t20", "2", "source: t20"), ("--eta1", "1.5", "eta1"),
+         ("--pair-rate", "0", "source: pair_rate")],
+    )
+    def test_flag_error_names_field(self, fig2_config, tmp_path, capsys, flag, value, path):
+        rc = main(["sweep", fig2_config, "--param", "phi", "-o", str(tmp_path / "x.csv"),
+                   flag, value])
+        assert rc == 2
+        assert path in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize(
+        "section,field",
+        [("source", "phase"), ("source", "t20"), ("source", "t02"),
+         ("source", "phase_jitter"), ("source", "pair_rate"), ("plate", "retardance"),
+         ("plate", "angle"), (None, "eta1"), (None, "eta2"), (None, "accidental_rate")],
+    )
+    def test_non_finite_field_named(self, tmp_path, capsys, section, field, value):
+        mapping = yaml.safe_load(FIG2_CONFIG)
+        (mapping[section] if section else mapping)[field] = yaml.safe_load(value)
+        config = tmp_path / "bad.yaml"
+        config.write_text(yaml.safe_dump(mapping))
+        assert value in config.read_text()
+        out_path = tmp_path / "x.csv"
+        rc = main(["sweep", str(config), "--param", "phi", "-o", str(out_path)])
+        assert rc == 2
+        assert field in capsys.readouterr().err
+        assert not out_path.exists()
+
+
+angle_texts = st.one_of(
+    st.text(), st.from_regex(r"[+-]?[\d.]*\s*pi\s*(/\s*[\d.]*)?", fullmatch=True)
+)
+state_texts = st.lists(
+    st.one_of(st.text(), st.text(alphabet="0123456789.+-jeinf ", max_size=8)),
+    min_size=1, max_size=4,
+).map(",".join)
+
+
+class TestParserFuzz:
+    @given(angle_texts, st.booleans())
+    def test_parse_angle_value_or_value_error(self, text, degrees):
+        try:
+            value = parse_angle(text, degrees)
+        except ValueError:
+            return
+        assert math.isfinite(value)
+
+    @given(state_texts)
+    def test_parse_state_value_or_value_error(self, text):
+        try:
+            state = cli.parse_state(text)
+        except ValueError:
+            return
+        assert state.shape == (3,)

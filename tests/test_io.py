@@ -1,15 +1,26 @@
 """Tests for config files and result serialization."""
 
+import dataclasses
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triphot import io
 from triphot.errors import ConfigError
-from triphot.experiment import CountRecord, ExperimentConfig, SourceSpec, SweepTable, sweep
+from triphot.experiment import (
+    ANALYSIS_CHOICES,
+    CountRecord,
+    ExperimentConfig,
+    SourceSpec,
+    SweepTable,
+    sweep,
+)
 from triphot.optics import PlateSpec
 
 GOOD_CONFIG = """
@@ -231,3 +242,90 @@ class TestSweepTableValidation:
         cfg = sample_config()
         with pytest.raises(ValueError):
             SweepTable("delta", np.array([0.0, 1.0]), np.zeros(2), cfg)
+
+
+class TestNumpyScalars:
+    def test_numpy_scalar_fields_write_and_read_back(self, tmp_path):
+        cfg = ExperimentConfig(
+            source=SourceSpec(
+                phase=np.float64(np.pi / 2), t20=np.float32(0.5), t02=np.float64(1.0),
+                phase_jitter=np.float32(0.01), pair_rate=np.float32(2),
+            ),
+            plate=PlateSpec(np.float32(np.pi), np.float64(np.pi / 8)),
+            eta1=np.float32(0.5),
+            eta2=np.float64(0.25),
+            accidental_rate=np.float32(0.1),
+        )
+        table = SweepTable("phi", np.array([0.0, 1.0]), np.array([0.5, 0.25]), cfg)
+        records = [CountRecord(0.0, 3)]
+        io.write_sweep_csv(table, str(tmp_path / "s.csv"))
+        io.write_counts_csv(records, cfg, str(tmp_path / "c.csv"))
+        io.write_sweep_yaml(table, str(tmp_path / "s.yaml"))
+        io.write_counts_yaml(records, cfg, str(tmp_path / "c.yaml"))
+        assert io.read_sweep_csv(str(tmp_path / "s.csv")).config == cfg
+        assert io.read_counts_csv(str(tmp_path / "c.csv"))[1] == cfg
+        for name in ("s.yaml", "c.yaml"):
+            doc = yaml.safe_load((tmp_path / name).read_text())
+            assert io.config_from_mapping(doc["config"]) == cfg
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+unit = st.floats(0.0, 1.0)
+nonnegative = st.floats(0.0, allow_infinity=False)
+
+
+@st.composite
+def configs(draw):
+    t20, t02 = draw(st.tuples(unit, unit).filter(any))
+    return ExperimentConfig(
+        source=SourceSpec(
+            phase=draw(finite), t20=t20, t02=t02, phase_jitter=draw(nonnegative),
+            pair_rate=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+        ),
+        plate=PlateSpec(draw(finite), draw(finite)),
+        analysis=draw(st.sampled_from(ANALYSIS_CHOICES)),
+        eta1=draw(unit),
+        eta2=draw(unit),
+        accidental_rate=draw(nonnegative),
+    )
+
+
+class TestRoundTripProperties:
+    @given(configs())
+    def test_mapping(self, cfg):
+        assert io.config_from_mapping(io.config_to_mapping(cfg)) == cfg
+
+    @settings(deadline=None)
+    @given(configs())
+    def test_sweep_csv(self, cfg):
+        table = SweepTable("phi", np.array([0.0]), np.array([1.0]), cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.csv")
+            io.write_sweep_csv(table, path)
+            assert io.read_sweep_csv(path).config == cfg
+
+    @settings(deadline=None)
+    @given(configs())
+    def test_counts_yaml(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.yaml")
+            io.write_counts_yaml([CountRecord(0.0, 1)], cfg, path)
+            doc = yaml.safe_load(Path(path).read_text())
+            assert io.config_from_mapping(doc["config"]) == cfg
+
+
+def test_readme_config_schema_matches_dataclasses():
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    block = readme.split("## Config schema", 1)[1].split("```yaml\n", 1)[1].split("```", 1)[0]
+    doc = yaml.safe_load(block)
+    cfg = io.config_from_mapping(doc)
+    defaults = io.config_to_mapping(ExperimentConfig(source=SourceSpec(), plate=cfg.plate))
+
+    def keys(node):
+        return {k: keys(v) for k, v in node.items()} if isinstance(node, dict) else None
+
+    assert keys(doc) == keys(defaults)
+    # The plate fields are required, so the README shows an example, not a default.
+    doc.pop("plate")
+    defaults.pop("plate")
+    assert doc == defaults

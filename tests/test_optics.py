@@ -71,6 +71,12 @@ class TestPlateSpec:
         assert abs(spec.retardance - 0.5) < 1e-12
         assert abs(spec.angle - 0.25) < 1e-12
 
+    def test_tiny_negative_wraps_into_range(self):
+        # -1e-20 % 2pi rounds to 2pi itself; the canonical ranges are half-open.
+        spec = PlateSpec(retardance=-1e-20, angle=-1e-20)
+        assert (spec.retardance, spec.angle) == (0.0, 0.0)
+        assert PlateSpec(spec.retardance, spec.angle) == spec
+
     def test_constructors(self):
         assert abs(PlateSpec.half(0.1).retardance - np.pi) < 1e-15
         assert abs(PlateSpec.quarter(0.1).retardance - np.pi / 2) < 1e-15
