@@ -2,7 +2,7 @@
 
 Subcommands: verify (self-check suites), sweep (analytic fringe tables),
 mc (seeded Monte Carlo counting), stokes (state observables), synth (plate
-synthesis for trit transitions), info (conventions and defaults).
+synthesis for trit transitions), info (version and conventions).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 I/O error.
@@ -46,6 +46,14 @@ def parse_angle(text: str, degrees: bool = False) -> float:
     return value
 
 
+def _flag_angle(flag: str, text: str, degrees: bool, parse=parse_angle):
+    """`parse` (text, degrees) with the flag named in its error."""
+    try:
+        return parse(text, degrees)
+    except ConfigError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _echo_config(cfg) -> None:
     print(yaml.safe_dump({"resolved_config": io.config_to_mapping(cfg)}, sort_keys=False), end="")
 
@@ -79,7 +87,7 @@ def _apply_overrides(cfg, args):
         value = getattr(args, dest)
         if value is not None:
             node = mapping[section] if section else mapping
-            node[field] = parse(value, args.deg) if parse else value
+            node[field] = _flag_angle(f"--{dest}", value, args.deg, parse) if parse else value
     return io.config_from_mapping(mapping)
 
 
@@ -115,12 +123,9 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = _apply_overrides(io.load_config(args.config), args)
-    deg = args.deg
-    start = parse_angle(args.start, deg) if args.start is not None else 0.0
-    if args.stop is not None:
-        stop = parse_angle(args.stop, deg)
-    else:
-        stop = 2.0 * np.pi if args.param == "phi" else np.pi
+    start = _flag_angle("--start", args.start, args.deg) if args.start is not None else 0.0
+    full_range = 2.0 * np.pi if args.param == "phi" else np.pi
+    stop = _flag_angle("--stop", args.stop, args.deg) if args.stop is not None else full_range
     table = sweep(cfg, args.param, start, stop, args.steps)
     _echo_config(cfg)
     print(f"sweep: {args.param} from {start:.12g} to {stop:.12g} in {args.steps} steps")
@@ -234,7 +239,7 @@ def cmd_synth(args) -> int:
     elif args.phi.strip().lower() == "free":
         optimize_phase = True
     else:
-        phi = parse_angle(args.phi, args.deg)
+        phi = _flag_angle("--phi", args.phi, args.deg)
         pinned = source_state(SourceSpec(phase=phi))
         if not qutrit.states_equal(pinned, input_state, tol=1e-9):
             raise ConfigError(

@@ -93,7 +93,8 @@ class PlateSpec:
 
 
 def lift(j: np.ndarray) -> np.ndarray:
-    """Symmetric lift of a 2x2 Jones matrix to the photon-pair space.
+    """Symmetric lift of a 2x2 Jones matrix, or of a stack [..., 2, 2] of
+    them, to the photon-pair space ([..., 3, 3]).
 
     For j = [[a, b], [c, d]] the lift equals the restriction of the tensor
     product j (x) j to the symmetric subspace in the normalized basis
@@ -101,17 +102,19 @@ def lift(j: np.ndarray) -> np.ndarray:
     unitaries to unitaries.
     """
     j = np.asarray(j, dtype=complex)
-    if j.shape != (2, 2):
-        raise ValueError(f"Jones matrix must be 2x2, got shape {j.shape}")
-    a, b = j[0]
-    c, d = j[1]
-    return np.array(
+    if j.shape[-2:] != (2, 2):
+        raise ValueError(f"Jones matrix must be 2x2 or a stack of 2x2, got shape {j.shape}")
+    # One matrix unpacks to numpy scalars, the cheap path for per-point callers.
+    single = j.ndim == 2
+    a, b, c, d = j.flat if single else np.moveaxis(j.reshape(*j.shape[:-2], 4), -1, 0)
+    g = np.array(
         [
             [a * a, _SQRT2 * a * b, b * b],
             [_SQRT2 * a * c, a * d + b * c, _SQRT2 * b * d],
             [c * c, _SQRT2 * c * d, d * d],
         ]
     )
+    return g if single else np.moveaxis(g, (0, 1), (-2, -1))
 
 
 def is_unitary(g: np.ndarray, tol: float = UNITARY_TOL) -> bool:

@@ -246,7 +246,7 @@ def synthesize(
         order = np.argsort(-values, kind="stable")
         best_val = values[order[0]]
         # tie-break exact grid ties toward the smallest canonical parameters
-        tied = [i for i in order if values[i] >= best_val - 1e-12]
+        tied = list(order[: np.count_nonzero(values >= best_val - 1e-12)])
         tied.sort(key=lambda i: _canonical(problem, assignment, points[i]))
         starts = [points[tied[0]]]
         for i in order[: max(4, len(tied))]:

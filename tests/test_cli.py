@@ -501,6 +501,19 @@ class TestOverridesShareConfigParser:
         assert field in capsys.readouterr().err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("flag", ["--phi", "--chi", "--retardance", "--start", "--stop"])
+    def test_bad_angle_names_its_flag(self, fig2_config, tmp_path, capsys, flag):
+        angles = {"--phi": "0.1", "--chi": "0.3", "--retardance": "half", "--start": "1",
+                  "--stop": "2", flag: "nan"}
+        out_path = tmp_path / "x.csv"
+        argv = ["sweep", fig2_config, "--param", "phi", "-o", str(out_path)]
+        rc = main(argv + [item for pair in angles.items() for item in pair])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{flag}: " in err and "'nan'" in err
+        assert [other for other in angles if other in err] == [flag]
+        assert not out_path.exists()
+
 
 angle_texts = st.one_of(
     st.text(), st.from_regex(r"[+-]?[\d.]*\s*pi\s*(/\s*[\d.]*)?", fullmatch=True)

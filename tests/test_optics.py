@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import unitary_group
 
 from triphot import optics, qutrit
@@ -119,6 +122,29 @@ class TestLift:
     def test_bad_shape(self):
         with pytest.raises(ValueError):
             optics.lift(np.eye(3))
+
+
+# Stacks (n, 2, 2) and (n, m, 2, 2) with entries of modulus at most 1, as
+# for any passive Jones matrix.
+_jones_stacks = hnp.arrays(
+    complex,
+    hnp.array_shapes(min_dims=1, max_dims=2, max_side=5).map(lambda lead: (*lead, 2, 2)),
+    elements=st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestStackedLift:
+    @given(_jones_stacks)
+    def test_each_slice_is_the_single_lift(self, stack):
+        lifted = optics.lift(stack)
+        assert lifted.shape == stack.shape[:-2] + (3, 3)
+        for index in np.ndindex(stack.shape[:-2]):
+            assert np.max(np.abs(lifted[index] - optics.lift(stack[index]))) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2,), (4, 2, 3)])
+    def test_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match="2x2"):
+            optics.lift(np.zeros(shape, dtype=complex))
 
 
 class TestApply:
