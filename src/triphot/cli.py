@@ -316,13 +316,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="trit label, 'Nx,Ny' Fock pair, or three complex amplitudes")
     p.set_defaults(func=cmd_stokes)
 
-    p = sub.add_parser("synth", help="search plate settings for a trit transition")
+    p = sub.add_parser(
+        "synth",
+        help="search plate settings for a trit transition",
+        description="Find plate settings for a trit transition.  One hwp or qwp plate is "
+        "solved in closed form; two or more plates, or a 'free' plate, run a grid search "
+        "plus Nelder-Mead refinement, the only path that --grid-density, --tol and --seed "
+        "act on.  'objective evaluations' counts kernel samples (16, or 64 with a free "
+        "phase, per one-plate assignment) plus grid points and refinement steps.",
+    )
     p.add_argument("transition", help="e.g. 'minus->zero'")
     p.add_argument("--plates", default="hwp", help="comma list per plate: hwp, qwp or free")
     p.add_argument("--phi", help="source phase: radians, 'pi' forms, or 'free' (default: free for plus/minus)")
-    p.add_argument("--grid-density", dest="grid_density", type=int, default=24)
-    p.add_argument("--tol", type=float, default=1e-8, help="refinement tolerance")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--grid-density", dest="grid_density", type=int, default=24,
+                   help="grid points per angle of the multi-plate and free search (default 24)")
+    p.add_argument("--tol", type=float, default=1e-8,
+                   help="refinement tolerance of the multi-plate and free search")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the multi-plate and free search (used above 200 000 grid points)")
     p.add_argument("--deg", action="store_true", help="interpret numeric angles as degrees")
     p.set_defaults(func=cmd_synth)
 

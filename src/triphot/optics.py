@@ -51,6 +51,13 @@ def rotator(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=complex)
 
 
+def wrap(value, period: float):
+    """value, a float or an array, reduced to [0, period).  `%` rounds a tiny
+    negative value up to the period itself; that remainder folds onto 0."""
+    value = value % period
+    return value - period * (value == period)
+
+
 def polarizer(axis: str) -> np.ndarray:
     """Ideal linear polarizer passing the x or y component (contractive)."""
     if axis == "x":
@@ -73,9 +80,7 @@ class PlateSpec:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-            # float % rounds a tiny negative value up to the period itself.
-            value = float(value) % period
-            object.__setattr__(self, name, 0.0 if value == period else value)
+            object.__setattr__(self, name, wrap(float(value), period))
 
     @classmethod
     def half(cls, chi: float) -> "PlateSpec":

@@ -6,13 +6,18 @@ maximal fidelity.  Plates generate only the lifted SU(2) subgroup, so not
 every target is reachable; the search reports the best fidelity found and
 whether it clears the reachability threshold.
 
-Strategy: a coarse uniform grid over all free angles, then Nelder-Mead
-refinement of the best grid points.  The objective is smooth, low
-dimensional and periodic, so this is cheap and derivative free.  Both stages
-score candidates with one closed-form kernel, on a single parameter vector or
-on columns of grid points.  Ties among
-symmetric optima are broken toward the lexicographically smallest canonical
-parameters (plate angles in [0, pi), phases in [0, 2*pi)).
+Strategy: one plate of fixed retardance is solved in closed form.  Its
+fidelity is a trigonometric polynomial of degree 4 in theta = 2*chi and of
+degree 1 in the source phase, so 16 (or 64) kernel samples give it exactly;
+the maximum over the phase is closed form and the maximum over theta comes
+from Newton steps on the exact series.  Every other plate assignment (two or
+more plates, or a 'free' retardance) takes a coarse uniform grid over all
+free angles, then Nelder-Mead refinement of the best grid points; the grid
+density, refinement tolerance and seed act only on this path.  Both paths
+score candidates with one closed-form kernel, on a single parameter vector
+or on columns of points.  Ties among symmetric optima (fidelities within
+1e-12) are broken toward the lexicographically smallest canonical parameters
+(plate angles in [0, pi), phases in [0, 2*pi)).
 """
 
 from __future__ import annotations
@@ -35,6 +40,14 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT2 = 1.0 / _SQRT2
 # Grid points scored per kernel call: bounds the kernel's temporaries.
 _GRID_CHUNK = 4096
+# Fidelities within this of the best count as ties.
+_TIE_TOL = 1e-12
+# One-plate solver: the fidelity's harmonics in theta = 2*chi, the samples
+# that determine them, the envelope samples that seed Newton and its steps.
+_HARMONICS = 4
+_THETA_SAMPLES = 16
+_ENVELOPE_SAMPLES = 256
+_NEWTON_STEPS = 24
 
 
 def minimize(*args, **kwargs):
@@ -197,10 +210,131 @@ def _grid_axes(problem: SynthesisProblem, assignment: tuple, density: int):
 
 
 def _canonical(problem: SynthesisProblem, assignment: tuple, params: np.ndarray) -> tuple:
-    out = []
-    for i, p in enumerate(params):
-        out.append(float(p) % math.pi if i < problem.budget else float(p) % _TWO_PI)
-    return tuple(out)
+    return tuple(
+        optics.wrap(float(p), math.pi if i < problem.budget else _TWO_PI)
+        for i, p in enumerate(params)
+    )
+
+
+def _envelope(p: np.ndarray, q: np.ndarray, theta: np.ndarray):
+    """G = P + |Q| and its first two theta derivatives, with Q, at `theta`.
+
+    P and Q are the series with coefficients `p` and `q` on harmonics
+    -4..4.  Where Q = 0 the Q terms drop out (G is P there)."""
+    n = np.arange(-_HARMONICS, _HARMONICS + 1)
+    e = np.exp(1j * np.outer(theta, n))
+    pv, p1, p2 = ((e @ (p * w)).real for w in (1.0, 1j * n, -(n * n)))
+    qv, q1, q2 = (e @ (q * w) for w in (1.0, 1j * n, -(n * n)))
+    r = np.abs(qv)
+    safe = np.maximum(r, 1e-30)  # keeps the Q terms finite, and 0 where Q = 0
+    w = qv.conj() / safe
+    g1 = p1 + (w * q1).real
+    g2 = p2 + (w * q2).real + (w * q1).imag ** 2 / safe
+    return pv + r, g1, g2, qv
+
+
+def _snap(x: np.ndarray, step: float) -> np.ndarray:
+    """Angles within rounding (1e-12) of a multiple of `step` set to it, so an
+    optimum on a sample angle, such as pi/8 or 0, comes out exact."""
+    k = np.round(x / step)
+    return np.where(np.abs(x - k * step) <= 1e-12, k * step, x)
+
+
+def _solve_one_plate(problem: SynthesisProblem, delta: float):
+    """Exact optimum of one plate of retardance `delta`.
+
+    The kernel's fidelity F has degree 4 in theta = 2*chi, so 16 samples give
+    its Fourier coefficients exactly.  With the source phase free, F also has
+    degree 1 in phi, so 4 phase samples split it as P(theta) +
+    Re(Q(theta) e^{i phi}): the best phase is -arg Q and the envelope over the
+    phase is G = P + |Q|.  G is sampled finely, and Newton steps on its exact
+    derivatives refine every local maximum of the samples.  Ties resolve to
+    the smallest canonical parameters: theta = 0 when G is flat, phi = 0
+    where F does not depend on the phase.
+
+    Returns (fidelity, canonical parameters, kernel samples taken).
+    """
+    theta = np.arange(_THETA_SAMPLES) * (_TWO_PI / _THETA_SAMPLES)
+    if problem.optimize_source_phase:
+        phases = np.arange(4) * (0.5 * math.pi)
+        f = _fidelity(
+            problem, (delta,), (np.repeat(0.5 * theta, 4), np.tile(phases, _THETA_SAMPLES))
+        ).reshape(_THETA_SAMPLES, 4)
+        p_samples = f.mean(axis=1)
+        q_samples = 0.5 * ((f[:, 0] - f[:, 2]) + 1j * (f[:, 3] - f[:, 1]))
+    else:
+        f = p_samples = _fidelity(problem, (delta,), (0.5 * theta,))
+        q_samples = np.zeros(_THETA_SAMPLES)
+    n = np.arange(-_HARMONICS, _HARMONICS + 1)
+    dft = np.exp(-1j * np.outer(n, theta)) / _THETA_SAMPLES
+    p, q = dft @ p_samples, dft @ q_samples
+
+    step = _TWO_PI / _ENVELOPE_SAMPLES
+    grid = np.arange(_ENVELOPE_SAMPLES) * step
+    g = _envelope(p, q, grid)[0]
+    if np.ptp(g) <= _TIE_TOL:
+        t = np.zeros(1)  # every theta ties: the smallest one
+    else:
+        t = grid[(g >= np.roll(g, 1)) & (g >= np.roll(g, -1))]
+        for _ in range(_NEWTON_STEPS):
+            _, g1, g2, _ = _envelope(p, q, t)
+            # a step only where G is concave, and never past a sample spacing
+            dt = np.clip(-g1 / np.where(g2 < 0, g2, -np.inf), -step, step)
+            t = t + dt
+            if np.max(np.abs(dt)) <= 1e-12:
+                break
+    t = _snap(t, step)
+    values, _, _, qv = _envelope(p, q, t)
+    columns = [optics.wrap(0.5 * t, math.pi)]
+    if problem.optimize_source_phase:
+        # F spans 2|Q| over the phase; within the tie tolerance every phase ties
+        tied = 2.0 * np.abs(qv) <= _TIE_TOL
+        values = np.where(tied, values - np.abs(qv) + qv.real, values)
+        columns.append(optics.wrap(_snap(np.where(tied, 0.0, -np.angle(qv)), step), _TWO_PI))
+    params = np.stack(columns, axis=-1)
+    eligible = np.flatnonzero(values >= values.max() - _TIE_TOL)
+    best = eligible[np.lexsort(params[eligible].T[::-1])[0]]
+    return float(values[best]), tuple(params[best].tolist()), f.size
+
+
+def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_tol: float, rng):
+    """Grid search plus Nelder-Mead refinement of one plate assignment.
+
+    Returns ([(fidelity, canonical parameters), ...], kernel evaluations)."""
+    axes = _grid_axes(problem, assignment, density)
+    dims = len(axes)
+    if density**dims <= _MAX_GRID_POINTS:
+        mesh = np.meshgrid(*axes, indexing="ij")
+        points = np.stack([m.ravel() for m in mesh], axis=-1)
+    else:
+        highs = np.array([math.pi] * problem.budget + [_TWO_PI] * (dims - problem.budget))
+        points = rng.uniform(0.0, 1.0, (_MAX_GRID_POINTS, dims)) * highs
+    values = _grid_fidelities(problem, assignment, points)
+    evaluations = len(points)
+
+    order = np.argsort(-values, kind="stable")
+    best_val = values[order[0]]
+    # tie-break exact grid ties toward the smallest canonical parameters
+    tied = list(order[: np.count_nonzero(values >= best_val - _TIE_TOL)])
+    tied.sort(key=lambda i: _canonical(problem, assignment, points[i]))
+    starts = [points[tied[0]]]
+    for i in order[: max(4, len(tied))]:
+        if len(starts) >= 4:
+            break
+        if all(np.max(np.abs(points[i] - s)) > 1e-12 for s in starts):
+            starts.append(points[i])
+
+    found = [(best_val, _canonical(problem, assignment, starts[0]))]
+    for x0 in starts:
+        res = minimize(
+            lambda p: -_fidelity(problem, assignment, p),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": refine_tol, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
+        )
+        evaluations += int(res.nfev)
+        found.append((-res.fun, _canonical(problem, assignment, res.x)))
+    return found, evaluations
 
 
 def synthesize(
@@ -209,7 +343,14 @@ def synthesize(
     refine_tol: float = 1e-8,
     seed: int = 0,
 ) -> SynthesisResult:
-    """Grid search plus Nelder-Mead refinement; deterministic for fixed inputs.
+    """Best plate settings for `problem`; deterministic for fixed inputs.
+
+    Each assignment of one plate with a fixed retardance is solved in closed
+    form from 16 kernel samples (64 with the source phase free), and those
+    samples are its `evaluations`.  Every other assignment runs the grid
+    search plus Nelder-Mead refinement, the only path that `grid_density`,
+    `refine_tol` and `seed` act on (all three are checked either way) and the
+    only one that imports scipy.
 
     Returns the best plate sequence found; a low fidelity is a valid answer
     (see `reachability_report`).  The reported fidelity is recomputed from
@@ -221,7 +362,7 @@ def synthesize(
         raise ValueError(f"grid density must be <= {_MAX_GRID_POINTS}, got {grid_density}")
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
-    rng = np.random.default_rng(seed)
+    rng = None  # made on the first search: the closed form needs no numpy.random
     evaluations = 0
     candidates = []  # (fidelity, assignment_index, canonical params, assignment)
 
@@ -231,52 +372,23 @@ def synthesize(
             assignments.append(combo)
 
     for a_idx, assignment in enumerate(assignments):
-        axes = _grid_axes(problem, assignment, grid_density)
-        dims = len(axes)
-        n_full = grid_density**dims
-        if n_full <= _MAX_GRID_POINTS:
-            mesh = np.meshgrid(*axes, indexing="ij")
-            points = np.stack([m.ravel() for m in mesh], axis=-1)
+        if problem.budget == 1 and assignment[0] != FREE:
+            value, params, n = _solve_one_plate(problem, assignment[0])
+            found = [(value, params)]
         else:
-            highs = np.array([math.pi] * problem.budget + [_TWO_PI] * (dims - problem.budget))
-            points = rng.uniform(0.0, 1.0, (_MAX_GRID_POINTS, dims)) * highs
-        values = _grid_fidelities(problem, assignment, points)
-        evaluations += len(points)
-
-        order = np.argsort(-values, kind="stable")
-        best_val = values[order[0]]
-        # tie-break exact grid ties toward the smallest canonical parameters
-        tied = list(order[: np.count_nonzero(values >= best_val - 1e-12)])
-        tied.sort(key=lambda i: _canonical(problem, assignment, points[i]))
-        starts = [points[tied[0]]]
-        for i in order[: max(4, len(tied))]:
-            if len(starts) >= 4:
-                break
-            if all(np.max(np.abs(points[i] - s)) > 1e-12 for s in starts):
-                starts.append(points[i])
-
-        candidates.append(
-            (best_val, a_idx, _canonical(problem, assignment, starts[0]), assignment)
-        )
-        for x0 in starts:
-            res = minimize(
-                lambda p: -_fidelity(problem, assignment, p),
-                x0,
-                method="Nelder-Mead",
-                options={"xatol": refine_tol, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
-            )
-            evaluations += int(res.nfev)
-            candidates.append(
-                (-res.fun, a_idx, _canonical(problem, assignment, res.x), assignment)
-            )
+            if rng is None:
+                rng = np.random.default_rng(seed)
+            found, n = _search(problem, assignment, grid_density, refine_tol, rng)
+        evaluations += n
+        candidates += [(value, a_idx, params, assignment) for value, params in found]
 
     top = max(c[0] for c in candidates)
-    eligible = [c for c in candidates if c[0] >= top - 1e-12]
+    eligible = [c for c in candidates if c[0] >= top - _TIE_TOL]
     eligible.sort(key=lambda c: (c[1], c[2]))
     _, _, params, assignment = eligible[0]
     plates, phase = _decode(problem, assignment, np.array(params))
     plate_specs = tuple(PlateSpec(delta, chi) for delta, chi in plates)
-    phase = float(phase) % _TWO_PI if phase is not None else None
+    phase = optics.wrap(float(phase), _TWO_PI) if phase is not None else None
     fidelity = realized_fidelity(problem, plate_specs, phase)
     return SynthesisResult(
         plates=plate_specs, source_phase=phase, fidelity=fidelity, evaluations=evaluations

@@ -2,10 +2,12 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +148,9 @@ rc = triphot.cli.main(["verify", "--grid", "11", "--samples", "20"])
 loaded["verify"] = scipy_modules()
 problem = triphot.SynthesisProblem(triphot.trit_basis("minus"), triphot.trit_basis("zero"))
 triphot.synthesize(problem, grid_density=8)
+loaded["one plate"] = scipy_modules()
+problem = triphot.SynthesisProblem(triphot.trit_basis("minus"), triphot.trit_basis("zero"), 2)
+triphot.synthesize(problem, grid_density=8)
 refined = "scipy.optimize" in sys.modules
 print(json.dumps({"rc": rc, "loaded": loaded, "with_cli": with_cli, "refined": refined}))
 """
@@ -160,8 +165,11 @@ class TestLazyImports:
         )
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report["rc"] == 0
-        assert report["loaded"] == {"import triphot.cli": [], "import triphot": [], "verify": []}
-        # the CLI loads synthesis and verify up front; scipy waits for refinement
+        assert report["loaded"] == {
+            "import triphot.cli": [], "import triphot": [], "verify": [], "one plate": []
+        }
+        # the CLI loads synthesis and verify up front; scipy waits for a
+        # two-plate search, the first to need refinement
         assert report["with_cli"] == ["triphot.synthesis", "triphot.verify"]
         assert report["refined"]
 
@@ -394,6 +402,18 @@ class TestSynthCommand:
         assert abs(chi) < 1e-3
         assert "source phase phi = 0.0" in out
         assert "reachable" in out
+
+    def test_readme_lines_print_exact_solutions(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        lines = [line.split("#")[0] for line in readme.splitlines()]
+        argvs = [shlex.split(line)[1:] for line in lines if line.startswith("triphot synth ")]
+        expected = ["chi = 0.392699082 rad", "chi = 0.785398163 rad", "phi = 0.000000000 rad"]
+        assert len(argvs) == len(expected)
+        for argv, text in zip(argvs, expected):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert text in out, out
+            assert "reachability: reachable" in out
 
     def test_unicode_arrow(self, capsys):
         assert main(["synth", "minus→zero", "--plates", "hwp", "--phi", "pi"]) == 0

@@ -80,6 +80,13 @@ class TestPlateSpec:
         assert (spec.retardance, spec.angle) == (0.0, 0.0)
         assert PlateSpec(spec.retardance, spec.angle) == spec
 
+    def test_wrap_folds_arrays_like_floats(self):
+        values = np.array([-1e-20, -1e-16, 0.0, np.pi, 7.0])
+        wrapped = optics.wrap(values, np.pi)
+        assert wrapped.tolist() == [optics.wrap(float(v), np.pi) for v in values]
+        assert wrapped[0] == wrapped[1] == wrapped[3] == 0.0
+        assert np.all((wrapped >= 0.0) & (wrapped < np.pi))
+
     def test_constructors(self):
         assert abs(PlateSpec.half(0.1).retardance - np.pi) < 1e-15
         assert abs(PlateSpec.quarter(0.1).retardance - np.pi / 2) < 1e-15

@@ -141,6 +141,8 @@ class TestFidelityKernel:
         problem = SynthesisProblem(
             trit_basis("plus"), trit_basis("minus"), 2, (synthesis.FREE,), True
         )
+        from scipy import optimize  # noqa: F401  (its first import is not grid memory)
+
         tracemalloc.start()
         try:
             result = synthesize(problem, 9, 1e-8, 0)
@@ -258,6 +260,71 @@ class TestSynthesize:
         monkeypatch.setattr(synthesis, "_fidelity", no_eval)
         with pytest.raises(ValueError, match="tolerance"):
             synthesize(minus_to_zero(), 16, tol, 0)
+
+
+def one_plate_cases():
+    """Random inputs, targets and fixed retardances; every other case retunes
+    the source phase of a plus or minus input."""
+    rng = np.random.default_rng(11)
+    cases = []
+    for k in range(24):
+        retune = k % 2 == 1
+        inp = trit_basis(("plus", "minus")[k // 2 % 2]) if retune else random_state(rng)
+        delta = float(rng.uniform(0.0, 2 * PI))
+        cases.append(SynthesisProblem(inp, random_state(rng), 1, (delta,), retune))
+    return cases
+
+
+class TestOnePlateSolver:
+    def test_no_dense_grid_point_beats_it(self):
+        chi, phi = np.meshgrid(
+            np.linspace(0, PI, 720, endpoint=False),
+            np.linspace(0, 2 * PI, 360, endpoint=False),
+            indexing="ij",
+        )
+        for problem in one_plate_cases():
+            assignment = problem.retardances
+            points = np.stack([chi.ravel(), phi.ravel()] if problem.optimize_source_phase
+                              else [chi[:, 0]], axis=-1)
+            dense = synthesis._grid_fidelities(problem, assignment, points).max()
+            result = synthesize(problem)
+            assert result.fidelity >= dense - 1e-12
+            assert result.evaluations == (64 if problem.optimize_source_phase else 16)
+
+    def test_solved_value_matches_realized_fidelity(self):
+        for problem in one_plate_cases():
+            delta = problem.retardances[0]
+            value, params, _ = synthesis._solve_one_plate(problem, delta)
+            phase = params[1] if problem.optimize_source_phase else None
+            realized = realized_fidelity(problem, (optics.PlateSpec(delta, params[0]),), phase)
+            assert abs(value - realized) <= 1e-12
+            result = synthesize(problem)
+            assert abs(result.fidelity - realized) <= 1e-12
+
+    def test_symmetric_optima_break_to_smallest_angle(self):
+        # optima at pi/8 + k pi/4 all reach 1; the smallest must win exactly
+        result = synthesize(minus_to_zero())
+        assert abs(result.plates[0].angle - PI / 8) <= 1e-12
+
+    def test_immaterial_phase_is_zero(self):
+        # plus -> |2,0>: F = 1/2 for every phase, so the phase ties at 0
+        for delta in (PI, PI / 2):
+            problem = SynthesisProblem(trit_basis("plus"), qutrit.fock_basis(0), 1, (delta,), True)
+            result = synthesize(problem)
+            assert abs(result.fidelity - 0.5) <= 1e-12
+            assert result.source_phase == 0.0
+
+    def test_retuned_minus_to_plus_is_exactly_zero(self):
+        result = synthesize(minus_to_plus_free_phase())
+        assert result.source_phase == 0.0
+        assert result.plates[0].angle == 0.0
+
+    def test_free_plate_still_searched(self):
+        # a 'free' assignment of the same problem keeps the grid search
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 1, (synthesis.FREE, PI))
+        result = synthesize(problem, 16, 1e-8, 0)
+        assert result.evaluations > 16 + 16
+        assert result.fidelity > 1 - 1e-9
 
 
 class TestProblemValidation:
