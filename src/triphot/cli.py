@@ -321,9 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="search plate settings for a trit transition",
         description="Find plate settings for a trit transition.  One hwp or qwp plate is "
         "solved in closed form; two or more plates, or a 'free' plate, run a grid search "
-        "plus Nelder-Mead refinement, the only path that --grid-density, --tol and --seed "
-        "act on.  'objective evaluations' counts kernel samples (16, or 64 with a free "
-        "phase, per one-plate assignment) plus grid points and refinement steps.",
+        "plus Newton refinement on the fidelity's exact derivatives, the only path that "
+        "--grid-density, --tol and --seed act on.  'objective evaluations' counts kernel "
+        "samples: 16 (64 with a free phase) per one-plate assignment, plus grid points "
+        "and the refinement's stencil and line-search samples.",
     )
     p.add_argument("transition", help="e.g. 'minus->zero'")
     p.add_argument("--plates", default="hwp", help="comma list per plate: hwp, qwp or free")
@@ -331,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-density", dest="grid_density", type=int, default=24,
                    help="grid points per angle of the multi-plate and free search (default 24)")
     p.add_argument("--tol", type=float, default=1e-8,
-                   help="refinement tolerance of the multi-plate and free search")
+                   help="largest parameter step, in radians, at which the refinement of "
+                   "the multi-plate and free search stops (default 1e-8)")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the multi-plate and free search (used above 200 000 grid points)")
     p.add_argument("--deg", action="store_true", help="interpret numeric angles as degrees")

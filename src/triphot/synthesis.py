@@ -12,19 +12,21 @@ degree 1 in the source phase, so 16 (or 64) kernel samples give it exactly;
 the maximum over the phase is closed form and the maximum over theta comes
 from Newton steps on the exact series.  Every other plate assignment (two or
 more plates, or a 'free' retardance) takes a coarse uniform grid over all
-free angles, then Nelder-Mead refinement of the best grid points; the grid
-density, refinement tolerance and seed act only on this path.  Both paths
-score candidates with one closed-form kernel, on a single parameter vector
-or on columns of points.  Ties among symmetric optima (fidelities within
-1e-12) are broken toward the lexicographically smallest canonical parameters
-(plate angles in [0, pi), phases in [0, 2*pi)).
+free angles, then Newton refinement of the best grid points.  The fidelity
+has a fixed degree in every parameter, so equally spaced samples along each
+axis and each pair of axes give its exact gradient and Hessian; the grid
+density, refinement tolerance and seed act only on this path.
+Both paths score candidates with one closed-form kernel, on columns of
+points.  Ties among symmetric optima (fidelities within 1e-12) are broken
+toward the lexicographically smallest canonical parameters (plate angles in
+[0, pi), phases in [0, 2*pi)).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -48,14 +50,15 @@ _HARMONICS = 4
 _THETA_SAMPLES = 16
 _ENVELOPE_SAMPLES = 256
 _NEWTON_STEPS = 24
-
-
-def minimize(*args, **kwargs):
-    """`scipy.optimize.minimize`, imported on first call: scipy loads only
-    when a synthesis reaches refinement."""
-    from scipy import optimize
-
-    return optimize.minimize(*args, **kwargs)
+# Search refinement: the fidelity's largest frequency in a free retardance,
+# the saddle-free Newton step's curvature floor, its largest component (both
+# in the scaled parameters of `_stencil`), the halvings its line search
+# tries, and the step cap.
+_FREE_HARMONICS = 2
+_CURVATURE_FLOOR = 1e-6
+_TRUST_RADIUS = 0.5
+_HALVINGS = 30
+_MAX_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -209,11 +212,15 @@ def _grid_axes(problem: SynthesisProblem, assignment: tuple, density: int):
     return axes
 
 
-def _canonical(problem: SynthesisProblem, assignment: tuple, params: np.ndarray) -> tuple:
-    return tuple(
-        optics.wrap(float(p), math.pi if i < problem.budget else _TWO_PI)
-        for i, p in enumerate(params)
-    )
+def _wrap_params(problem: SynthesisProblem, params: np.ndarray) -> np.ndarray:
+    """Parameters (a vector, or points as rows) wrapped to their canonical
+    ranges: plate angles to [0, pi), retardances and the phase to [0, 2*pi)."""
+    periods = np.where(np.arange(params.shape[-1]) < problem.budget, math.pi, _TWO_PI)
+    return optics.wrap(params, periods)
+
+
+def _canonical(problem: SynthesisProblem, params: np.ndarray) -> tuple:
+    return tuple(_wrap_params(problem, np.asarray(params, dtype=float)).tolist())
 
 
 def _envelope(p: np.ndarray, q: np.ndarray, theta: np.ndarray):
@@ -297,8 +304,124 @@ def _solve_one_plate(problem: SynthesisProblem, delta: float):
     return float(values[best]), tuple(params[best].tolist()), f.size
 
 
+def _derivative_weights(degree: int):
+    """Weights on the samples f(2*pi*j/n), j = 0..n-1 with n = 2*degree + 1,
+    of a trigonometric polynomial of that degree that give f'(0) and f''(0)
+    exactly (the derivatives of its interpolating series)."""
+    n = 2 * degree + 1
+    t = np.arange(n) * (_TWO_PI / n)
+    k = np.arange(1, degree + 1)[:, None]
+    first = (2.0 / n) * (k * np.sin(k * t)).sum(axis=0)
+    second = (-2.0 / n) * (k * k * np.cos(k * t)).sum(axis=0)
+    return first, second
+
+
+def _stencil(problem: SynthesisProblem, assignment: tuple):
+    """Sample offsets, and the linear maps from their fidelities to the exact
+    gradient and Hessian.
+
+    Derivatives are taken in scaled parameters t: theta = 2*chi for a plate
+    angle, and a free retardance or the source phase as it is.  The fidelity
+    is a trigonometric polynomial of degree w_i in t_i (4 per plate angle, 2
+    per free retardance, 1 for the phase), so along u = e_i or e_i + e_j it
+    has degree w_i (+ w_j) and 2w + 1 samples over a period give its first
+    two derivatives along u (`_derivative_weights`).  The mixed derivative
+    is H_ij = (D_u^2 - H_ii - H_jj) / 2 for u = e_i + e_j.
+
+    Returns (scale, offsets, grad_map, hess_map): parameter radians per unit
+    of t, the M offsets of the samples around a centre, and the (1 + M, d)
+    and (1 + M, d * d) maps applied to [f(centre), f(centre + offsets)].
+    """
+    n_free = sum(1 for r in assignment if r == FREE)
+    n_phase = 1 if problem.optimize_source_phase else 0
+    scale = np.array([0.5] * problem.budget + [1.0] * (n_free + n_phase))
+    degree = [_HARMONICS] * problem.budget + [_FREE_HARMONICS] * n_free + [1] * n_phase
+    dims = len(scale)
+    directions = [(i,) for i in range(dims)] + list(combinations(range(dims), 2))
+    degrees = [sum(degree[i] for i in u) for u in directions]
+    # rows: the centre, then 2w samples along each direction in turn
+    width = 1 + 2 * sum(degrees)
+    offsets = np.zeros((width - 1, dims))
+    first, second = np.zeros((2, len(directions), width))
+    lo = 1
+    for r, (u, w) in enumerate(zip(directions, degrees)):
+        hi = lo + 2 * w
+        t = np.arange(1, 2 * w + 1) * (_TWO_PI / (2 * w + 1))
+        offsets[lo - 1 : hi - 1, list(u)] = np.outer(t, scale[list(u)])
+        first[r, np.r_[0, lo:hi]], second[r, np.r_[0, lo:hi]] = _derivative_weights(w)
+        lo = hi
+    hess = np.zeros((dims, dims, width))
+    hess[range(dims), range(dims)] = second[:dims]
+    for r, (i, j) in enumerate(directions[dims:], start=dims):
+        hess[i, j] = hess[j, i] = 0.5 * (second[r] - second[i] - second[j])
+    return scale, offsets, first[:dims].T, hess.reshape(dims * dims, width).T
+
+
+def _derivatives(problem: SynthesisProblem, assignment: tuple, stencil, x, f):
+    """Exact gradient and Hessian in the scaled parameters at the rows of x,
+    whose fidelities are f, from one kernel call over their stencils.
+
+    Returns (gradients, Hessians, kernel evaluations)."""
+    scale, offsets, grad_map, hess_map = stencil
+    dims = len(scale)
+    samples = _grid_fidelities(problem, assignment, (x[:, None, :] + offsets).reshape(-1, dims))
+    v = np.concatenate([f[:, None], samples.reshape(len(x), -1)], axis=1)
+    return v @ grad_map, (v @ hess_map).reshape(-1, dims, dims), samples.size
+
+
+def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine_tol: float):
+    """Newton ascent from every start at once, on exact derivatives.
+
+    Each step samples the `_stencil` around every active start in one kernel
+    call and takes the saddle-free Newton step V diag(1/|lambda|) V^T g of
+    the Hessian's eigen-decomposition, its |lambda| floored and its largest
+    scaled component clipped to the trust radius.  A backtracking line search
+    halves the step until the fidelity does not drop, and takes no step when
+    none of the halvings qualifies.  A start stops when its largest parameter
+    step is <= refine_tol radians, or after the step cap.
+
+    Returns (points, fidelities, kernel evaluations).
+    """
+    stencil = _stencil(problem, assignment)
+    scale = stencil[0]
+    x, f = np.array(starts, dtype=float), np.array(values, dtype=float)
+    active = np.arange(len(x))
+    evaluations = 0
+    for _ in range(_MAX_STEPS):
+        if not active.size:
+            break
+        xa, fa = x[active], f[active]
+        grad, hess, n = _derivatives(problem, assignment, stencil, xa, fa)
+        evaluations += n
+        lam, vec = np.linalg.eigh(hess)
+        coef = np.einsum("sij,si->sj", vec, grad) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
+        step = np.einsum("sij,sj->si", vec, coef)
+        largest = np.max(np.abs(step), axis=1, keepdims=True)
+        step *= np.minimum(1.0, _TRUST_RADIUS / np.maximum(largest, 1e-300))
+        dx = step * scale
+        moved = np.zeros(len(active), dtype=bool)
+        pending = np.arange(len(active))
+        for _ in range(_HALVINGS):
+            trial = xa[pending] + dx[pending]
+            ft = _grid_fidelities(problem, assignment, trial)
+            evaluations += ft.size
+            ok = ft >= fa[pending]
+            taken = pending[ok]
+            x[active[taken]], f[active[taken]] = trial[ok], ft[ok]
+            moved[taken] = True
+            pending = pending[~ok]
+            dx[pending] *= 0.5
+            # a step at or below the tolerance would end the start anyway
+            pending = pending[np.max(np.abs(dx[pending]), axis=1) > refine_tol]
+            if not pending.size:
+                break
+        largest = np.where(moved, np.max(np.abs(dx), axis=1), 0.0)
+        active = active[largest > refine_tol]
+    return x, f, evaluations
+
+
 def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_tol: float, rng):
-    """Grid search plus Nelder-Mead refinement of one plate assignment.
+    """Grid search plus Newton refinement of one plate assignment.
 
     Returns ([(fidelity, canonical parameters), ...], kernel evaluations)."""
     axes = _grid_axes(problem, assignment, density)
@@ -312,29 +435,23 @@ def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_t
     values = _grid_fidelities(problem, assignment, points)
     evaluations = len(points)
 
-    order = np.argsort(-values, kind="stable")
-    best_val = values[order[0]]
-    # tie-break exact grid ties toward the smallest canonical parameters
-    tied = list(order[: np.count_nonzero(values >= best_val - _TIE_TOL)])
-    tied.sort(key=lambda i: _canonical(problem, assignment, points[i]))
-    starts = [points[tied[0]]]
-    for i in order[: max(4, len(tied))]:
-        if len(starts) >= 4:
-            break
-        if all(np.max(np.abs(points[i] - s)) > 1e-12 for s in starts):
-            starts.append(points[i])
+    best_val = values.max()
+    # tie-break grid ties toward the smallest canonical parameters
+    tied = np.flatnonzero(values >= best_val - _TIE_TOL)
+    first = tied[np.lexsort(_wrap_params(problem, points[tied]).T[::-1])[0]]
+    # the other starts: the best points in a stable descending sort
+    # (grid points are distinct)
+    fourth = np.partition(values, len(values) - 4)[len(values) - 4]
+    head = np.flatnonzero(values >= fourth)
+    head = head[np.argsort(-values[head], kind="stable")[:4]]
+    starts = [first] + [i for i in head if i != first][:3]
 
-    found = [(best_val, _canonical(problem, assignment, starts[0]))]
-    for x0 in starts:
-        res = minimize(
-            lambda p: -_fidelity(problem, assignment, p),
-            x0,
-            method="Nelder-Mead",
-            options={"xatol": refine_tol, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
-        )
-        evaluations += int(res.nfev)
-        found.append((-res.fun, _canonical(problem, assignment, res.x)))
-    return found, evaluations
+    refined, fidelities, n = _refine(
+        problem, assignment, points[starts], values[starts], refine_tol
+    )
+    found = [(best_val, _canonical(problem, points[first]))]
+    found += [(float(v), _canonical(problem, p)) for v, p in zip(fidelities, refined)]
+    return found, evaluations + n
 
 
 def synthesize(
@@ -346,11 +463,13 @@ def synthesize(
     """Best plate settings for `problem`; deterministic for fixed inputs.
 
     Each assignment of one plate with a fixed retardance is solved in closed
-    form from 16 kernel samples (64 with the source phase free), and those
-    samples are its `evaluations`.  Every other assignment runs the grid
-    search plus Nelder-Mead refinement, the only path that `grid_density`,
-    `refine_tol` and `seed` act on (all three are checked either way) and the
-    only one that imports scipy.
+    form from 16 kernel samples (64 with the source phase free).  Every other
+    assignment runs the grid search plus Newton refinement, the only path
+    that `grid_density`, `refine_tol` and `seed` act on (all three are
+    checked either way).  Refinement stops a start once its largest
+    parameter step is <= `refine_tol` radians.  `evaluations` counts kernel
+    samples: the closed form's, grid points, and the refinement's stencil
+    and line-search samples.
 
     Returns the best plate sequence found; a low fidelity is a valid answer
     (see `reachability_report`).  The reported fidelity is recomputed from

@@ -1,5 +1,6 @@
 """Tests for the command line interface."""
 
+import ast
 import json
 import os
 import shlex
@@ -146,13 +147,17 @@ import triphot
 loaded["import triphot"] = scipy_modules()
 rc = triphot.cli.main(["verify", "--grid", "11", "--samples", "20"])
 loaded["verify"] = scipy_modules()
-problem = triphot.SynthesisProblem(triphot.trit_basis("minus"), triphot.trit_basis("zero"))
-triphot.synthesize(problem, grid_density=8)
-loaded["one plate"] = scipy_modules()
-problem = triphot.SynthesisProblem(triphot.trit_basis("minus"), triphot.trit_basis("zero"), 2)
-triphot.synthesize(problem, grid_density=8)
-refined = "scipy.optimize" in sys.modules
-print(json.dumps({"rc": rc, "loaded": loaded, "with_cli": with_cli, "refined": refined}))
+minus, zero = triphot.trit_basis("minus"), triphot.trit_basis("zero")
+for name, budget, retardances in [
+    ("one plate", 1, (3.141592653589793,)),
+    ("two plates", 2, (3.141592653589793,)),
+    ("free plate", 1, ("free",)),
+    ("five plates", 5, (1.5707963267948966,)),
+]:
+    problem = triphot.SynthesisProblem(minus, zero, budget, retardances)
+    triphot.synthesize(problem, grid_density=8)
+    loaded[name] = scipy_modules()
+print(json.dumps({"rc": rc, "loaded": loaded, "with_cli": with_cli}))
 """
 
 
@@ -165,13 +170,28 @@ class TestLazyImports:
         )
         report = json.loads(proc.stdout.splitlines()[-1])
         assert report["rc"] == 0
-        assert report["loaded"] == {
-            "import triphot.cli": [], "import triphot": [], "verify": [], "one plate": []
-        }
-        # the CLI loads synthesis and verify up front; scipy waits for a
-        # two-plate search, the first to need refinement
+        stages = ["import triphot.cli", "import triphot", "verify", "one plate", "two plates",
+                  "free plate", "five plates"]
+        assert report["loaded"] == {stage: [] for stage in stages}
+        # the CLI loads synthesis and verify up front
         assert report["with_cli"] == ["triphot.synthesis", "triphot.verify"]
-        assert report["refined"]
+
+    def test_package_source_imports_no_scipy(self):
+        # scipy is a test dependency only; a docstring may still name it
+        package = Path(triphot.__file__).parent
+        importers = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    roots = [alias.name.split(".")[0] for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    roots = [node.module.split(".")[0]]
+                else:
+                    continue
+                if "scipy" in roots:
+                    importers.append(f"{path.name}:{node.lineno}")
+        assert len(list(package.rglob("*.py"))) >= 9
+        assert importers == []
 
     def test_synthesis_names_resolve_from_package(self):
         from triphot import SynthesisProblem, synthesize
@@ -432,6 +452,28 @@ class TestSynthCommand:
         rc = main(["synth", "minus->zero", "--plates", "hwp", "--phi", "pi", "--tol", tol])
         assert rc == 2
         assert "tolerance" in capsys.readouterr().err
+
+    def test_tiny_tolerance_ends_at_step_cap(self, monkeypatch, capsys):
+        # no step gets to 1e-300 rad, so the refinement stops at its step cap
+        rounds = []
+        refine, derivatives = synthesis._refine, synthesis._derivatives
+
+        def counted_refine(*args):
+            rounds.append(0)
+            return refine(*args)
+
+        def counted_derivatives(*args):
+            rounds[-1] += 1
+            return derivatives(*args)
+
+        monkeypatch.setattr(synthesis, "_refine", counted_refine)
+        monkeypatch.setattr(synthesis, "_derivatives", counted_derivatives)
+        rc = main(["synth", "plus->zero", "--plates", "hwp,qwp", "--tol", "1e-300"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "reachability: reachable" in out
+        assert len(rounds) == 4  # one refinement per plate assignment
+        assert max(rounds) == synthesis._MAX_STEPS
 
     def test_huge_grid_density_is_usage_error(self, monkeypatch, capsys):
         def no_grid(*args, **kwargs):

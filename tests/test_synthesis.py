@@ -141,8 +141,6 @@ class TestFidelityKernel:
         problem = SynthesisProblem(
             trit_basis("plus"), trit_basis("minus"), 2, (synthesis.FREE,), True
         )
-        from scipy import optimize  # noqa: F401  (its first import is not grid memory)
-
         tracemalloc.start()
         try:
             result = synthesize(problem, 9, 1e-8, 0)
@@ -345,3 +343,170 @@ class TestProblemValidation:
     def test_phase_optimization_needs_source_input(self):
         with pytest.raises(ValueError):
             SynthesisProblem(trit_basis("zero"), trit_basis("plus"), 1, (PI,), True)
+
+
+def central_differences(problem, assignment, x, h):
+    """Kernel gradient and Hessian at x by central differences of step h,
+    with one Richardson step (error O(h^4))."""
+    def at(h):
+        e = np.eye(len(x)) * h
+        fp, fm = (synthesis._grid_fidelities(problem, assignment, x + s * e) for s in (1, -1))
+        grad = (fp - fm) / (2 * h)
+        corners = [
+            synthesis._grid_fidelities(
+                problem, assignment, (x + a * e[:, None] + b * e[None, :]).reshape(-1, len(x))
+            ).reshape(len(x), len(x))
+            for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1))
+        ]
+        return grad, (corners[0] - corners[1] - corners[2] + corners[3]) / (4 * h * h)
+
+    (g1, h1), (g2, h2) = at(h), at(2 * h)
+    return (4 * g1 - g2) / 3, (4 * h1 - h2) / 3
+
+
+def stencil_derivatives(problem, assignment, x):
+    """The refinement's gradient and Hessian at x, in the unscaled parameters."""
+    stencil = synthesis._stencil(problem, assignment)
+    f = synthesis._grid_fidelities(problem, assignment, x[None, :])
+    grad, hess, _ = synthesis._derivatives(problem, assignment, stencil, x[None, :], f)
+    scale = stencil[0]
+    return grad[0] / scale, hess[0] / np.outer(scale, scale)
+
+
+def nelder_mead_refine(problem, assignment, starts, values, refine_tol):
+    """Nelder-Mead from each start, with the options the search used before
+    its Newton refinement."""
+    from scipy.optimize import minimize
+
+    points, fidelities, evaluations = [], [], 0
+    for x0 in starts:
+        res = minimize(
+            lambda p: -synthesis._fidelity(problem, assignment, p),
+            x0,
+            method="Nelder-Mead",
+            options={"xatol": refine_tol, "fatol": 1e-15, "maxiter": 4000, "maxfev": 8000},
+        )
+        points.append(res.x)
+        fidelities.append(-res.fun)
+        evaluations += res.nfev
+    return np.array(points), np.array(fidelities), evaluations
+
+
+def reference_starts(problem, points, values):
+    """Refinement starts picked with a full sort and a Python tie-break sort."""
+    order = np.argsort(-values, kind="stable")
+    tied = list(order[: np.count_nonzero(values >= values[order[0]] - synthesis._TIE_TOL)])
+    tied.sort(key=lambda i: synthesis._canonical(problem, points[i]))
+    starts = [tied[0]]
+    for i in order[: max(4, len(tied))]:
+        if len(starts) >= 4:
+            break
+        if all(np.max(np.abs(points[i] - points[s])) > 1e-12 for s in starts):
+            starts.append(i)
+    return starts
+
+
+class TestNewtonRefinement:
+    def test_stencil_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(8)
+        for problem, assignment in kernel_cases():
+            for _ in range(2):
+                x = random_params(rng, problem, assignment)
+                grad, hess = stencil_derivatives(problem, assignment, x)
+                fd_grad, fd_hess = central_differences(problem, assignment, x, 1e-3)
+                assert np.max(np.abs(grad - fd_grad)) <= 1e-6
+                assert np.max(np.abs(hess - fd_hess)) <= 1e-6
+                assert np.array_equal(hess, hess.T)
+
+    def test_one_plate_derivatives_match_envelope(self):
+        # without the phase, the one-plate solver's envelope G is the fidelity
+        # as a series in theta = 2 chi; the stencil takes theta as its parameter
+        theta = np.arange(16) * (2 * PI / 16)
+        n = np.arange(-synthesis._HARMONICS, synthesis._HARMONICS + 1)
+        rng = np.random.default_rng(9)
+        for problem in one_plate_cases()[::2]:
+            assignment = problem.retardances
+            p = np.exp(-1j * np.outer(n, theta)) @ synthesis._fidelity(
+                problem, assignment, (0.5 * theta,)) / 16
+            t = rng.uniform(0, 2 * PI, 5)
+            _, g1, g2, _ = synthesis._envelope(p, np.zeros(len(n)), t)
+            stencil = synthesis._stencil(problem, assignment)
+            x = 0.5 * t[:, None]
+            f = synthesis._grid_fidelities(problem, assignment, x)
+            grad, hess, _ = synthesis._derivatives(problem, assignment, stencil, x, f)
+            assert np.max(np.abs(grad[:, 0] - g1)) <= 1e-12
+            assert np.max(np.abs(hess[:, 0, 0] - g2)) <= 1e-12
+
+    def test_no_step_lowers_the_fidelity(self, monkeypatch):
+        derivatives = synthesis._derivatives
+        centres = []
+
+        def record(problem, assignment, stencil, x, f):
+            centres.append(f[0])
+            return derivatives(problem, assignment, stencil, x, f)
+
+        monkeypatch.setattr(synthesis, "_derivatives", record)
+        rng = np.random.default_rng(13)
+        for problem, assignment in kernel_cases():
+            x0 = random_params(rng, problem, assignment, 1)
+            f0 = synthesis._grid_fidelities(problem, assignment, x0)
+            centres.clear()
+            _, f, _ = synthesis._refine(problem, assignment, x0, f0, 1e-8)
+            assert 1 <= len(centres) <= synthesis._MAX_STEPS
+            assert np.all(np.diff(centres + [f[0]]) >= 0.0)
+
+    def test_never_below_nelder_mead(self, monkeypatch):
+        # the same starts refined both ways; only the Newton result is used
+        newton = synthesis._refine
+        best = {}
+
+        def both(problem, assignment, starts, values, refine_tol):
+            x, f, n = newton(problem, assignment, starts, values, refine_tol)
+            assert np.all(f >= values)  # no step lowers the fidelity
+            _, nm, _ = nelder_mead_refine(problem, assignment, starts, values, refine_tol)
+            best["nm"] = max(best.get("nm", 0.0), nm.max())
+            return x, f, n
+
+        monkeypatch.setattr(synthesis, "_refine", both)
+        rng = np.random.default_rng(12)
+        cases = 0
+        for budget, retardances in ((2, (PI,)), (2, (synthesis.FREE,)), (2, (0.7,)),
+                                    (3, (1.1,)), (3, (PI / 2,))):
+            for k in range(18):
+                retune = k % 2 == 1
+                inp = trit_basis(("plus", "minus")[k // 2 % 2]) if retune else random_state(rng)
+                problem = SynthesisProblem(inp, random_state(rng), budget, retardances, retune)
+                best.clear()
+                result = synthesize(problem, 8, 1e-8, k)
+                assert result.fidelity >= best["nm"] - 1e-12
+                cases += 1
+        assert cases >= 90
+
+    def test_grid_ties_pick_smallest_canonical_point(self):
+        # plus -> zero through half-wave plates: F = 0 at every point, so all
+        # 200 000 random grid points tie
+        problem = SynthesisProblem(trit_basis("plus"), trit_basis("zero"), 5, (PI,), False)
+        found, _ = synthesis._search(problem, (PI,) * 5, 24, 1e-8, np.random.default_rng(3))
+        points = np.random.default_rng(3).uniform(0.0, 1.0, (synthesis._MAX_GRID_POINTS, 5)) * PI
+        assert max(value for value, _ in found) <= 1e-12
+        assert found[0][1] == min(map(tuple, points.tolist()))
+
+    def test_starts_match_sorted_selection(self, monkeypatch):
+        refine = synthesis._refine
+        seen = []
+
+        def capture(problem, assignment, starts, values, refine_tol):
+            seen.append(np.array(starts))
+            return refine(problem, assignment, starts, values, refine_tol)
+
+        monkeypatch.setattr(synthesis, "_refine", capture)
+        for inp, target, retune in (("minus", "zero", False), ("minus", "zero", True),
+                                    ("plus", "zero", False), ("zero", "plus", False)):
+            for density in (8, 16):
+                problem = SynthesisProblem(trit_basis(inp), trit_basis(target), 2, (PI,), retune)
+                seen.clear()
+                synthesis._search(problem, (PI, PI), density, 1e-8, None)
+                points = np.stack(np.meshgrid(*synthesis._grid_axes(problem, (PI, PI), density),
+                                              indexing="ij"), axis=-1).reshape(-1, 2 + retune)
+                values = synthesis._grid_fidelities(problem, (PI, PI), points)
+                assert np.array_equal(seen[0], points[reference_starts(problem, points, values)])
