@@ -48,6 +48,7 @@ from .observables import (
 )
 from .experiment import (
     CountRecord,
+    CountTable,
     ExperimentConfig,
     SourceSpec,
     SweepTable,
@@ -100,6 +101,7 @@ __all__ = [
     "degree_of_polarization",
     "stokes",
     "CountRecord",
+    "CountTable",
     "ExperimentConfig",
     "SourceSpec",
     "SweepTable",

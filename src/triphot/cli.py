@@ -139,16 +139,17 @@ def cmd_sweep(args) -> int:
 
 def cmd_mc(args) -> int:
     cfg = _apply_overrides(io.load_config(args.config), args)
-    records = simulate_counts(cfg, args.seed, args.duration, args.bin)
+    table = simulate_counts(cfg, args.seed, args.duration, args.bin)
     _echo_config(cfg)
     run_meta = {"seed": args.seed, "duration": args.duration, "bin": args.bin}
-    print(f"mc: {len(records)} bins, run {run_meta}")
-    total = sum(r.coincidences for r in records)
-    print(f"total coincidences: {total} (mean rate {total / (len(records) * args.bin):.6g}/s)")
+    print(f"mc: {len(table)} bins, run {run_meta}")
+    # Python ints: an int64 sum wraps once bins hold over 2**63 / len(table) each
+    total = sum(table.counts.tolist())
+    print(f"total coincidences: {total} (mean rate {total / (len(table) * args.bin):.6g}/s)")
     if args.output.endswith((".yaml", ".yml")):
-        io.write_counts_yaml(records, cfg, args.output, run_meta)
+        io.write_counts_yaml(table, cfg, args.output, run_meta)
     else:
-        io.write_counts_csv(records, cfg, args.output, run_meta)
+        io.write_counts_csv(table, cfg, args.output, run_meta)
     print(f"wrote {args.output}")
     return 0
 

@@ -28,8 +28,8 @@ from .optics import PlateSpec
 
 ANALYSIS_CHOICES = ("none", "x", "y")
 
-# Largest bin count `simulate_counts` accepts: a million CountRecords take
-# about 140 MB.
+# Largest bin count `simulate_counts` accepts: a million bins are two 8 MB
+# columns, and `triphot mc` writing them as CSV peaks at about 175 MB RSS.
 MAX_BINS = 10**6
 # Largest grid `sweep` accepts: about 8 MB per array it builds.
 MAX_STEPS = 10**6
@@ -127,12 +127,51 @@ class SweepTable:
 
 @dataclass(frozen=True)
 class CountRecord:
+    """One bin of a CountTable, as iterating the table yields it."""
+
     t_start: float
     coincidences: int
 
     def __post_init__(self):
         if self.coincidences < 0:
             raise ValueError("coincidences must be nonnegative")
+
+
+@dataclass(frozen=True, eq=False)
+class CountTable:
+    """Binned coincidence counts: bin start times (s) and counts per bin.
+
+    Iterating yields one CountRecord per bin, with a plain float and int.
+    """
+
+    t_start: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        t_start = np.asarray(self.t_start, dtype=float)
+        counts = np.asarray(self.counts)
+        if t_start.ndim != 1 or t_start.shape != counts.shape:
+            raise ValueError("t_start and counts must be 1-d arrays of equal length")
+        if counts.size and counts.dtype.kind not in "iu":
+            raise ValueError(f"counts must be integers, got dtype {counts.dtype}")
+        counts = counts.astype(np.int64, copy=False)
+        if counts.size and counts.min() < 0:
+            raise ValueError("coincidences must be nonnegative")
+        object.__setattr__(self, "t_start", t_start)
+        object.__setattr__(self, "counts", counts)
+
+    def __len__(self) -> int:
+        return self.counts.size
+
+    def __iter__(self):
+        return map(CountRecord, self.t_start.tolist(), self.counts.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, CountTable):
+            return NotImplemented
+        return np.array_equal(self.t_start, other.t_start) and np.array_equal(
+            self.counts, other.counts
+        )
 
 
 def source_state(src: SourceSpec, jitter_draw: float = 0.0) -> np.ndarray:
@@ -214,7 +253,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, start: float, stop: float, step
 
 def simulate_counts(
     cfg: ExperimentConfig, seed: int, duration: float, bin_width: float = 1.0
-) -> list[CountRecord]:
+) -> CountTable:
     """Seeded Monte Carlo of binned coincidence counting.
 
     Each bin holds Poisson(predict_rate(cfg) * bin_width) coincidences, drawn
@@ -223,6 +262,8 @@ def simulate_counts(
     by independent coincidence marks (jitter draw, then Bernoulli) is Poisson
     with mean pair_rate * bin * E[p], and adding independent Poisson
     accidentals keeps it Poisson.  At most MAX_BINS bins are simulated.
+
+    Returns a CountTable whose bin i starts at i * bin_width.
     """
     if not (math.isfinite(duration) and math.isfinite(bin_width)):
         raise ValueError("duration and bin_width must be finite")
@@ -239,7 +280,10 @@ def simulate_counts(
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
     counts = np.random.default_rng(seed).poisson(predict_rate(cfg) * bin_width, n_bins)
-    return [CountRecord(i * bin_width, hits) for i, hits in enumerate(counts.tolist())]
+    # bin i starts at float(i) * bin_width, rounded once, as in i * bin_width
+    t_start = np.arange(n_bins, dtype=float)
+    t_start *= bin_width
+    return CountTable(t_start, counts)
 
 
 def fundamental_period(rates: np.ndarray, dx: float) -> float:

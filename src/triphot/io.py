@@ -1,7 +1,7 @@
 """Config files and result serialization.
 
 Experiment configs are YAML documents whose schema is the config
-dataclasses (documented in the README).  Sweep tables and count records are
+dataclasses (documented in the README).  Sweep tables and count tables are
 written as CSV with the `# triphot v1` header line and the resolved config
 echoed as one-line JSON comments, or as an equivalent YAML document.  All writes are atomic (temp file then rename).
 """
@@ -19,7 +19,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError
-from .experiment import CountRecord, ExperimentConfig, SweepTable
+from .experiment import CountTable, ExperimentConfig, SweepTable
 
 CSV_MAGIC = "# triphot v1"
 
@@ -144,12 +144,12 @@ def write_sweep_csv(table: SweepTable, path: str) -> None:
 
 
 def write_counts_csv(
-    records: list[CountRecord], config: ExperimentConfig, path: str, run_meta: dict | None = None
+    table: CountTable, config: ExperimentConfig, path: str, run_meta: dict | None = None
 ) -> None:
     lines = _meta_lines("counts", config, run_meta)
     lines.append("t_start,coincidences")
-    for rec in records:
-        lines.append(f"{_fmt(rec.t_start)},{rec.coincidences}")
+    # repr of a Python float is what _fmt writes
+    lines += [f"{t!r},{c}" for t, c in zip(table.t_start.tolist(), table.counts.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -201,18 +201,23 @@ def read_sweep_csv(path: str) -> SweepTable:
     )
 
 
-def read_counts_csv(path: str):
-    """Returns (records, config, run_meta)."""
+def read_counts_csv(path: str) -> tuple[CountTable, ExperimentConfig, dict | None]:
+    """Returns (table, config, run_meta)."""
     with open(path) as handle:
         lines = handle.read().splitlines()
     config, run_meta, start = _read_header(lines, "counts", "t_start,coincidences")
-    records = []
+    t_starts, counts = [], []
     for line in lines[start:]:
         if not line:
             continue
         t_start, hits = line.split(",")
-        records.append(CountRecord(t_start=float(t_start), coincidences=int(hits)))
-    return records, config, run_meta
+        t_starts.append(float(t_start))
+        counts.append(int(hits))
+    try:
+        counts = np.array(counts, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"coincidence count out of range: {exc}") from exc
+    return CountTable(np.array(t_starts, dtype=float), counts), config, run_meta
 
 
 def write_sweep_yaml(table: SweepTable, path: str) -> None:
@@ -230,7 +235,7 @@ def write_sweep_yaml(table: SweepTable, path: str) -> None:
 
 
 def write_counts_yaml(
-    records: list[CountRecord], config: ExperimentConfig, path: str, run_meta: dict | None = None
+    table: CountTable, config: ExperimentConfig, path: str, run_meta: dict | None = None
 ) -> None:
     doc = {
         "triphot": "v1",
@@ -238,8 +243,8 @@ def write_counts_yaml(
         "config": config_to_mapping(config),
         "run": run_meta or {},
         "bins": [
-            {"t_start": float(r.t_start), "coincidences": int(r.coincidences)}
-            for r in records
+            {"t_start": t, "coincidences": c}
+            for t, c in zip(table.t_start.tolist(), table.counts.tolist())
         ],
     }
     atomic_write_text(path, yaml.safe_dump(doc, sort_keys=False))

@@ -1,6 +1,7 @@
 """Tests for the command line interface."""
 
 import ast
+import hashlib
 import json
 import os
 import shlex
@@ -343,6 +344,42 @@ class TestMcCommand:
         assert main(["mc", fig2_config, "--seed", "42", "--duration", "50", "-o", p2]) == 0
         with open(p1, "rb") as a, open(p2, "rb") as b:
             assert a.read() == b.read()
+
+    @pytest.mark.parametrize(
+        "ext,sha256",
+        [
+            ("csv", "afe89be77d40591e719978eb2748efdda687ccb54c948959683c9fe282338432"),
+            ("yaml", "2b5d7a2123791a793d79d2a3da53323f38504423bb966beb23f342e5021a4819"),
+        ],
+    )
+    def test_seeded_run_matches_golden(self, fig2_config, tmp_path, capsys, ext, sha256):
+        # stdout and file bytes written by the per-record implementation;
+        # bins of 0.3 s give start times such as 0.8999999999999999
+        out = tmp_path / f"golden.{ext}"
+        rc = main(["mc", fig2_config, "--seed", "42", "--duration", "30", "--bin", "0.3",
+                   "-o", str(out)])
+        assert rc == 0
+        assert capsys.readouterr().out == (
+            "resolved_config:\n  source:\n    phase: 3.141592653589793\n    t20: 1.0\n"
+            "    t02: 1.0\n    phase_jitter: 0.0\n    pair_rate: 300.0\n  plate:\n"
+            "    retardance: 3.141592653589793\n    angle: 0.39269908169872414\n"
+            "  analysis: none\n  eta1: 0.1\n  eta2: 0.1\n  accidental_rate: 0.1\n"
+            "mc: 100 bins, run {'seed': 42, 'duration': 30.0, 'bin': 0.3}\n"
+            "total coincidences: 96 (mean rate 3.2/s)\n"
+            f"wrote {out}\n"
+        )
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
+
+    def test_total_is_exact_beyond_int64(self, fig2_config, tmp_path, capsys):
+        # about 5e18 coincidences per bin: ten bins overflow an int64 sum
+        out = str(tmp_path / "big.csv")
+        rc = main(["mc", fig2_config, "--seed", "3", "--duration", "10", "--pair-rate", "5e20",
+                   "-o", out])
+        assert rc == 0
+        table, _, _ = io.read_counts_csv(out)
+        total = sum(r.coincidences for r in table)
+        assert total > 2**63
+        assert f"total coincidences: {total} " in capsys.readouterr().out
 
     def test_infinite_duration_is_usage_error(self, fig2_config, tmp_path, capsys):
         out_path = tmp_path / "inf.csv"

@@ -1,5 +1,7 @@
 """Tests for the interference apparatus model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from triphot import experiment, observables, optics, qutrit
 from triphot.errors import DegenerateTableError, ZeroStateError
 from triphot.experiment import (
     CountRecord,
+    CountTable,
     ExperimentConfig,
     SourceSpec,
     calibrate_loss_for_visibility,
@@ -439,6 +442,51 @@ class TestSimulateCounts:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             CountRecord(t_start=0.0, coincidences=-1)
+
+    def test_memory_is_two_columns(self):
+        # 200 000 bins as two 8-byte columns are 3.2 MB; one CountRecord per
+        # bin peaked near 27 MB
+        cfg = ideal_config(PlateSpec.half(PI / 8), phase=PI, pair_rate=300.0)
+        simulate_counts(cfg, seed=1, duration=10.0)  # one-time set-up outside the trace
+        tracemalloc.start()
+        try:
+            table = simulate_counts(cfg, seed=1, duration=200_000.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 200_000
+        assert peak < 6 * 2**20
+
+
+class TestCountTable:
+    def test_len_equality_and_iteration(self):
+        table = CountTable([0.0, 0.5, 1.0], [3, 0, 17])
+        assert len(table) == 3
+        assert table == CountTable(np.array([0.0, 0.5, 1.0]), np.array([3, 0, 17]))
+        assert table != CountTable([0.0, 0.5, 1.0], [3, 0, 16])
+        assert table != CountTable([0.0, 0.5, 1.5], [3, 0, 17])
+        assert table != CountTable([0.0, 0.5], [3, 0])
+        records = list(table)
+        assert records == [CountRecord(0.0, 3), CountRecord(0.5, 0), CountRecord(1.0, 17)]
+        assert all(type(r.t_start) is float and type(r.coincidences) is int for r in records)
+
+    def test_empty_table(self):
+        table = CountTable([], [])
+        assert len(table) == 0
+        assert list(table) == []
+
+    @pytest.mark.parametrize(
+        "t_start,counts",
+        [
+            ([0.0, 1.0], [1, -1]),  # negative count
+            ([[0.0, 1.0]], [[1, 2]]),  # 2-d
+            ([0.0, 1.0], [1, 2, 3]),  # mismatched lengths
+            ([0.0, 1.0], [1.0, 2.5]),  # non-integer counts
+        ],
+    )
+    def test_bad_columns_rejected(self, t_start, counts):
+        with pytest.raises(ValueError):
+            CountTable(t_start, counts)
 
 
 class TestVisibility:

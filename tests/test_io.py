@@ -16,9 +16,12 @@ from triphot.errors import ConfigError
 from triphot.experiment import (
     ANALYSIS_CHOICES,
     CountRecord,
+    CountTable,
     ExperimentConfig,
     SourceSpec,
     SweepTable,
+    predict_rate,
+    simulate_counts,
     sweep,
 )
 from triphot.optics import PlateSpec
@@ -138,7 +141,7 @@ class TestRoundTrips:
 
     def test_counts_csv_round_trip(self, tmp_path):
         cfg = sample_config()
-        records = [CountRecord(0.0, 3), CountRecord(1.0, 0), CountRecord(2.0, 17)]
+        records = CountTable([0.0, 1.0, 2.0], [3, 0, 17])
         path = str(tmp_path / "counts.csv")
         io.write_counts_csv(records, cfg, path, {"seed": 42, "duration": 3.0, "bin": 1.0})
         back, back_cfg, meta = io.read_counts_csv(path)
@@ -164,7 +167,7 @@ class TestRoundTrips:
     def test_kind_mismatch(self, tmp_path):
         cfg = sample_config()
         path = str(tmp_path / "counts.csv")
-        io.write_counts_csv([CountRecord(0.0, 1)], cfg, path)
+        io.write_counts_csv(CountTable([0.0], [1]), cfg, path)
         with pytest.raises(ValueError, match="kind"):
             io.read_sweep_csv(path)
 
@@ -176,7 +179,7 @@ class TestRoundTrips:
             io.write_sweep_csv(sweep(cfg, "phi", 0.0, 2 * np.pi, 5), path)
             reader = io.read_sweep_csv
         else:
-            io.write_counts_csv([CountRecord(0.0, 1)], cfg, path)
+            io.write_counts_csv(CountTable([0.0], [1]), cfg, path)
             reader = io.read_counts_csv
         with open(path) as handle:
             header = [line for line in handle if line.startswith("#")]
@@ -198,13 +201,83 @@ class TestRoundTrips:
         assert doc["points"][0]["value"] == 0.0
         assert io.config_from_mapping(doc["config"]) == cfg
 
+    @pytest.mark.parametrize(
+        "row",
+        ["1.0", "1.0,2,3", "x,1", "1.0,1.5", "1.0,-1", "1.0," + "9" * 20],
+    )
+    def test_malformed_count_row_rejected(self, tmp_path, row):
+        path = str(tmp_path / "counts.csv")
+        io.write_counts_csv(CountTable([0.0], [1]), sample_config(), path)
+        with open(path, "a") as handle:
+            handle.write(row + "\n")
+        with pytest.raises(ValueError):
+            io.read_counts_csv(path)
+
     def test_counts_yaml_document(self, tmp_path):
         cfg = sample_config()
         path = str(tmp_path / "counts.yaml")
-        io.write_counts_yaml([CountRecord(0.0, 2)], cfg, path, {"seed": 1})
+        io.write_counts_yaml(CountTable([0.0], [2]), cfg, path, {"seed": 1})
         doc = yaml.safe_load(Path(path).read_text())
         assert doc["kind"] == "counts"
         assert doc["bins"] == [{"t_start": 0.0, "coincidences": 2}]
+
+
+class TestCountsMatchRecordPath:
+    """simulate_counts and the count writers against the per-record code
+    they replaced, rebuilt here: one CountRecord(i * bin_width, hits) per bin,
+    written one row or one mapping per record."""
+
+    @staticmethod
+    def record_path(cfg, seed, n_bins, bin_width):
+        counts = np.random.default_rng(seed).poisson(predict_rate(cfg) * bin_width, n_bins)
+        return [CountRecord(i * bin_width, hits) for i, hits in enumerate(counts.tolist())]
+
+    @staticmethod
+    def record_csv(records, cfg, run_meta):
+        lines = io._meta_lines("counts", cfg, run_meta)
+        lines.append("t_start,coincidences")
+        for rec in records:
+            lines.append(f"{repr(float(rec.t_start))},{rec.coincidences}")
+        return "\n".join(lines) + "\n"
+
+    @staticmethod
+    def record_yaml(records, cfg, run_meta):
+        doc = {
+            "triphot": "v1",
+            "kind": "counts",
+            "config": io.config_to_mapping(cfg),
+            "run": run_meta or {},
+            "bins": [
+                {"t_start": float(r.t_start), "coincidences": int(r.coincidences)}
+                for r in records
+            ],
+        }
+        return yaml.safe_dump(doc, sort_keys=False)
+
+    # the non-integer widths pin np.arange(n) * w against i * w; YAML stops at
+    # 2000 bins, where PyYAML's emitter still takes well under a second
+    @pytest.mark.parametrize("n_bins", [1, 2000, 40000])
+    @pytest.mark.parametrize("bin_width", [1.0, 0.1, 1 / 3, 100.0])
+    @pytest.mark.parametrize("seed", [7, 2026])
+    def test_same_records_and_bytes(self, tmp_path, seed, bin_width, n_bins):
+        cfg = sample_config()
+        duration = n_bins * bin_width
+        run_meta = {"seed": seed, "duration": duration, "bin": bin_width}
+        table = simulate_counts(cfg, seed, duration, bin_width)
+        records = self.record_path(cfg, seed, n_bins, bin_width)
+        assert len(table) == n_bins
+        assert list(table) == records
+        # bytes compared as lists of lines: equal exactly when the bytes are,
+        # and a mismatch reports its first line instead of a diff of all
+        csv_path = tmp_path / "c.csv"
+        io.write_counts_csv(table, cfg, str(csv_path), run_meta)
+        want = self.record_csv(records, cfg, run_meta)
+        assert csv_path.read_bytes().split(b"\n") == want.encode().split(b"\n")
+        if n_bins <= 2000:
+            yaml_path = tmp_path / "c.yaml"
+            io.write_counts_yaml(table, cfg, str(yaml_path), run_meta)
+            want = self.record_yaml(records, cfg, run_meta)
+            assert yaml_path.read_bytes().split(b"\n") == want.encode().split(b"\n")
 
 
 class TestAtomicWrites:
@@ -257,7 +330,7 @@ class TestNumpyScalars:
             accidental_rate=np.float32(0.1),
         )
         table = SweepTable("phi", np.array([0.0, 1.0]), np.array([0.5, 0.25]), cfg)
-        records = [CountRecord(0.0, 3)]
+        records = CountTable([0.0], [3])
         io.write_sweep_csv(table, str(tmp_path / "s.csv"))
         io.write_counts_csv(records, cfg, str(tmp_path / "c.csv"))
         io.write_sweep_yaml(table, str(tmp_path / "s.yaml"))
@@ -309,7 +382,7 @@ class TestRoundTripProperties:
     def test_counts_yaml(self, cfg):
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.yaml")
-            io.write_counts_yaml([CountRecord(0.0, 1)], cfg, path)
+            io.write_counts_yaml(CountTable([0.0], [1]), cfg, path)
             doc = yaml.safe_load(Path(path).read_text())
             assert io.config_from_mapping(doc["config"]) == cfg
 
