@@ -180,7 +180,10 @@ def parse_state(text: str) -> np.ndarray:
             amps = [complex(p) for p in parts]
         except ValueError:
             raise ConfigError(f"cannot parse amplitudes {text!r} (use e.g. '1,0,0.5+0.5j')") from None
-        return qutrit.make_state(*amps)
+        try:
+            return qutrit.make_state(*amps)
+        except ValueError as exc:
+            raise ConfigError(f"state {text!r}: {exc}") from None
     raise ConfigError(f"cannot parse state {text!r}")
 
 
@@ -208,19 +211,16 @@ def _plate_name(retardance: float) -> str:
 
 
 def cmd_synth(args) -> int:
-    match = re.match(r"^\s*(\w+)\s*(?:->|→)\s*(\w+)\s*$", args.transition)
-    if not match:
+    parts = re.split(r"->|→", args.transition)
+    if len(parts) != 2:
         raise ConfigError(
             f"cannot parse transition {args.transition!r} (expected e.g. 'minus->zero')"
         )
-    labels = []
-    for raw in match.groups():
-        label = raw.lower().removeprefix("psi_")
-        if label not in TRIT_DIGITS:
-            raise ConfigError(f"unknown trit label {raw!r} (use plus, minus or zero)")
-        labels.append(label)
-    input_state = qutrit.trit_basis(labels[0])
-    target = qutrit.trit_basis(labels[1])
+    source = parts[0].strip().lower().removeprefix("psi_")
+    if source not in TRIT_DIGITS:
+        raise ConfigError(f"unknown trit label {parts[0].strip()!r} (use plus, minus or zero)")
+    input_state = qutrit.trit_basis(source)
+    target = parse_state(parts[1])
 
     plates = [p.strip().lower() for p in args.plates.split(",")]
     unknown = [p for p in plates if p not in _PLATE_NAMES]
@@ -236,7 +236,7 @@ def cmd_synth(args) -> int:
     # the search retune the source phase alongside the plates.
     optimize_phase = False
     if args.phi is None:
-        optimize_phase = labels[0] in ("plus", "minus")
+        optimize_phase = source in ("plus", "minus")
     elif args.phi.strip().lower() == "free":
         optimize_phase = True
     else:
@@ -245,9 +245,9 @@ def cmd_synth(args) -> int:
         if not qutrit.states_equal(pinned, input_state, tol=1e-9):
             raise ConfigError(
                 f"--phi {args.phi} prepares a source state inconsistent with input "
-                f"'{labels[0]}' (expected phi = 0 for plus, pi for minus)"
+                f"'{source}' (expected phi = 0 for plus, pi for minus)"
             )
-    if optimize_phase and labels[0] == "zero":
+    if optimize_phase and source == "zero":
         raise ConfigError("source-phase optimization needs a plus or minus input")
 
     problem = synthesis.SynthesisProblem(
@@ -258,13 +258,14 @@ def cmd_synth(args) -> int:
         optimize_source_phase=optimize_phase,
     )
     result = synthesis.synthesize(problem, args.grid_density, args.tol, args.seed)
-    print(f"transition: {labels[0]} -> {labels[1]} (budget {len(plates)}, plates {args.plates})")
+    print(f"transition: {source} -> {parts[1].strip()} (budget {len(plates)}, plates {args.plates})")
     for k, spec in enumerate(result.plates, start=1):
         print(f"  plate {k}: {_plate_name(spec.retardance)} at chi = {spec.angle:.9f} rad")
     if result.source_phase is not None:
         print(f"  source phase phi = {result.source_phase:.9f} rad")
     print(f"fidelity: {result.fidelity:.15f}")
     print(f"reachability: {synthesis.reachability_report(problem, result)}")
+    print(f"bound: F_max = {result.fidelity_bound:.15f} (any plate sequence)")
     print(f"objective evaluations: {result.evaluations}")
     return 0
 
@@ -319,15 +320,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "synth",
-        help="search plate settings for a trit transition",
-        description="Find plate settings for a trit transition.  One hwp or qwp plate is "
-        "solved in closed form; two or more plates, or a 'free' plate, run a grid search "
-        "plus Newton refinement on the fidelity's exact derivatives, the only path that "
-        "--grid-density, --tol and --seed act on.  'objective evaluations' counts kernel "
-        "samples: 16 (64 with a free phase) per one-plate assignment, plus grid points "
-        "and the refinement's stencil and line-search samples.",
+        help="search plate settings for a transition from a trit state",
+        description="Find plate settings from a trit state to any state.  One hwp or qwp "
+        "plate is solved in closed form; two or more plates, or a 'free' plate, run a grid "
+        "search plus Newton refinement on the fidelity's exact derivatives, the only path "
+        "that --grid-density, --tol and --seed act on.  Plates keep the degree of "
+        "polarization P, so no plate sequence beats F_max = cos^2((asin P_s - asin P_t)/2); "
+        "the search stops at the first plate assignment that reaches it.  'objective "
+        "evaluations' counts kernel samples of the assignments searched: 16 (64 with a "
+        "free phase) per one-plate assignment, plus grid points and the refinement's "
+        "stencil and line-search samples.",
     )
-    p.add_argument("transition", help="e.g. 'minus->zero'")
+    p.add_argument("transition", help="trit label -> any state, e.g. 'minus->zero' or 'zero->2,0'")
     p.add_argument("--plates", default="hwp", help="comma list per plate: hwp, qwp or free")
     p.add_argument("--phi", help="source phase: radians, 'pi' forms, or 'free' (default: free for plus/minus)")
     p.add_argument("--grid-density", dest="grid_density", type=int, default=24,

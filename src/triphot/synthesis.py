@@ -2,9 +2,10 @@
 
 A synthesis problem asks for a sequence of retardation plates (and optionally
 a retuned source phase) carrying an input pair state into a target state with
-maximal fidelity.  Plates generate only the lifted SU(2) subgroup, so not
-every target is reachable; the search reports the best fidelity found and
-whether it clears the reachability threshold.
+maximal fidelity.  Plates generate only the lifted SU(2) subgroup, which keeps
+the degree of polarization P, so no plate sequence beats `fidelity_bound`; the
+search reports the best fidelity found, the bound, and whether the fidelity
+clears the reachability threshold.
 
 Strategy: one plate of fixed retardance is solved in closed form.  Its
 fidelity is a trigonometric polynomial of degree 4 in theta = 2*chi and of
@@ -19,7 +20,8 @@ density, refinement tolerance and seed act only on this path.
 Both paths score candidates with one closed-form kernel, on columns of
 points.  Ties among symmetric optima (fidelities within 1e-12) are broken
 toward the lexicographically smallest canonical parameters (plate angles in
-[0, pi), phases in [0, 2*pi)).
+[0, pi), phases in [0, 2*pi)).  Assignments are walked in order, and the walk
+ends at the first that reaches the bound: later ones could only tie.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from . import optics, qutrit
+from . import observables, optics, qutrit
 from .experiment import SourceSpec, source_state
 from .optics import PlateSpec
 
@@ -44,6 +46,9 @@ _INV_SQRT2 = 1.0 / _SQRT2
 _GRID_CHUNK = 4096
 # Fidelities within this of the best count as ties.
 _TIE_TOL = 1e-12
+# Kernel values exceed `fidelity_bound` by at most their rounding (~1e-15), so a
+# stop this far inside the tie tolerance leaves every later value a tie.
+_BOUND_MARGIN = 1e-14
 # One-plate solver: the fidelity's harmonics in theta = 2*chi, the samples
 # that determine them, the envelope samples that seed Newton and its steps.
 _HARMONICS = 4
@@ -104,6 +109,20 @@ class SynthesisResult:
     source_phase: float | None
     fidelity: float
     evaluations: int
+    fidelity_bound: float
+
+
+def fidelity_bound(input_state, target) -> float:
+    """F_max = cos^2((asin P_s - asin P_t) / 2), the best fidelity from
+    `input_state` to `target` over all lifted SU(2) rotations, and so over
+    every plate sequence (P is `observables.degree_of_polarization`).
+
+    Computed as (1 + P_s P_t + R_s R_t) / 2, with R = sqrt(1 - P^2) taken as
+    |2 c1 c3 - c2^2|: through P, R loses half its digits near P = 1.
+    """
+    p_s, p_t = (observables.degree_of_polarization(s) for s in (input_state, target))
+    r_s, r_t = (abs(2.0 * s[0] * s[2] - s[1] * s[1]) for s in (input_state, target))
+    return float(min(max(0.5 * (1.0 + p_s * p_t + r_s * r_t), 0.0), 1.0))
 
 
 def _default_assignment(problem: SynthesisProblem) -> tuple:
@@ -468,8 +487,11 @@ def synthesize(
     that `grid_density`, `refine_tol` and `seed` act on (all three are
     checked either way).  Refinement stops a start once its largest
     parameter step is <= `refine_tol` radians.  `evaluations` counts kernel
-    samples: the closed form's, grid points, and the refinement's stencil
-    and line-search samples.
+    samples of the assignments walked: the closed form's, grid points, and
+    the refinement's stencil and line-search samples.  The walk stops after
+    the first assignment whose best candidate reaches `fidelity_bound`
+    within the tie tolerance: later ones could at best tie, and a tie goes
+    to the earlier assignment.
 
     Returns the best plate sequence found; a low fidelity is a valid answer
     (see `reachability_report`).  The reported fidelity is recomputed from
@@ -483,6 +505,8 @@ def synthesize(
         raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
     rng = None  # made on the first search: the closed form needs no numpy.random
     evaluations = 0
+    # a retuned source phase moves the input along its SU(2) orbit: P still serves
+    bound = fidelity_bound(problem.input_state, problem.target)
     candidates = []  # (fidelity, assignment_index, canonical params, assignment)
 
     assignments = []
@@ -500,6 +524,10 @@ def synthesize(
             found, n = _search(problem, assignment, grid_density, refine_tol, rng)
         evaluations += n
         candidates += [(value, a_idx, params, assignment) for value, params in found]
+        # no later assignment beats the bound, so it can at best tie, and ties
+        # go to the smaller index: the rest would not change the answer
+        if max(value for value, _ in found) >= bound - _TIE_TOL + _BOUND_MARGIN:
+            break
 
     top = max(c[0] for c in candidates)
     eligible = [c for c in candidates if c[0] >= top - _TIE_TOL]
@@ -509,9 +537,7 @@ def synthesize(
     plate_specs = tuple(PlateSpec(delta, chi) for delta, chi in plates)
     phase = optics.wrap(float(phase), _TWO_PI) if phase is not None else None
     fidelity = realized_fidelity(problem, plate_specs, phase)
-    return SynthesisResult(
-        plates=plate_specs, source_phase=phase, fidelity=fidelity, evaluations=evaluations
-    )
+    return SynthesisResult(plate_specs, phase, fidelity, evaluations, bound)
 
 
 def reachability_report(problem: SynthesisProblem, result: SynthesisResult) -> str:

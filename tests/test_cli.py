@@ -509,8 +509,7 @@ class TestSynthCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "reachability: reachable" in out
-        assert len(rounds) == 4  # one refinement per plate assignment
-        assert max(rounds) == synthesis._MAX_STEPS
+        assert rounds and rounds == [synthesis._MAX_STEPS] * len(rounds)
 
     def test_huge_grid_density_is_usage_error(self, monkeypatch, capsys):
         def no_grid(*args, **kwargs):
@@ -525,6 +524,45 @@ class TestSynthCommand:
     def test_bad_transition(self, capsys):
         assert main(["synth", "minus-to-zero"]) == 2
         assert main(["synth", "up->down"]) == 2
+
+    def test_bound_follows_reachability(self, capsys):
+        assert main(["synth", "plus->zero", "--plates", "hwp", "--phi", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        at = lines.index("reachability: approximate")
+        assert lines[at + 1] == "bound: F_max = 1.000000000000000 (any plate sequence)"
+
+    def test_any_state_target(self, capsys):
+        assert main(["synth", "zero->2,0", "--plates", "hwp,qwp"]) == 0
+        out = capsys.readouterr().out
+        assert "transition: zero -> 2,0 (budget 2" in out
+        assert "reachability: approximate" in out
+        assert "bound: F_max = 0.500000000000000 (any plate sequence)" in out
+        fidelity = float(out.split("fidelity: ")[1].split()[0])
+        assert abs(fidelity - 0.5) <= 1e-12
+
+    @pytest.mark.parametrize("transition", [
+        "zero->sideways", "zero->1,2", "zero->0,0,0", "zero->nan,0,0", "zero->1,x,0",
+        "zero->", "zero->plus->minus", "2,0->zero",
+    ])
+    def test_bad_state_is_config_error(self, capsys, transition):
+        args = cli.build_parser().parse_args(["synth", transition, "--plates", "hwp,qwp"])
+        with pytest.raises(triphot.ConfigError):
+            args.func(args)
+        assert main(["synth", transition, "--plates", "hwp,qwp"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["minus->zero", "--plates", "qwp,hwp,qwp"],
+        ["plus->zero", "--plates", "hwp,qwp,hwp,qwp,hwp,qwp"],
+    ])
+    def test_search_stops_at_the_bound(self, capsys, argv):
+        # each assignment scores a random grid of _MAX_GRID_POINTS; the first
+        # one reaches the bound, so the other 7 (63) are never searched
+        assert main(["synth", *argv]) == 0
+        out = capsys.readouterr().out
+        assert "reachability: reachable" in out
+        evaluations = int(out.split("objective evaluations: ")[1])
+        assert evaluations < 2 * synthesis._MAX_GRID_POINTS
 
 
 class TestInfoCommand:

@@ -325,6 +325,114 @@ class TestOnePlateSolver:
         assert result.fidelity > 1 - 1e-9
 
 
+def haar_su2(rng, n):
+    """n Haar-random SU(2) matrices, [[a, -b*], [b, a*]] with (a, b) uniform on S^3."""
+    q = rng.normal(size=(n, 4))
+    q /= np.linalg.norm(q, axis=1, keepdims=True)
+    a, b = q[:, 0] + 1j * q[:, 1], q[:, 2] + 1j * q[:, 3]
+    return np.stack([np.stack([a, -b.conj()], -1), np.stack([b, a.conj()], -1)], -2)
+
+
+class TestFidelityBound:
+    def test_no_lifted_rotation_beats_it(self):
+        rng = np.random.default_rng(5)
+        gaps = []
+        for _ in range(100):
+            s, t = random_state(rng), random_state(rng)
+            bound = synthesis.fidelity_bound(s, t)
+            best = (np.abs(optics.lift(haar_su2(rng, 2000)) @ s @ t.conj()) ** 2).max()
+            assert best <= bound + 1e-12
+            gaps.append(bound - best)
+        # 2000 samples come close to the bound, so it is not vacuous
+        assert max(gaps) < 0.1
+
+    @pytest.mark.parametrize("source, target, expected", [
+        ("plus", "zero", 1.0),
+        ("minus", "plus", 1.0),
+        (0, 2, 1.0),
+        ("zero", 0, 0.5),
+        (2, "minus", 0.5),
+    ])
+    def test_exact_values(self, source, target, expected):
+        s, t = (qutrit.fock_basis(x) if isinstance(x, int) else trit_basis(x)
+                for x in (source, target))
+        assert synthesis.fidelity_bound(s, t) == pytest.approx(expected, abs=1e-15)
+
+    def test_equal_p_gives_one(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            s = random_state(rng)
+            rotated = optics.lift(haar_su2(rng, 1)[0]) @ s
+            assert abs(synthesis.fidelity_bound(s, rotated) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("c2", [1e-3, 1e-5, 1e-7])
+    def test_accurate_near_full_polarization(self, c2):
+        # 1 - P^2 = c2^4 / (1 + c2^2)^2: through P it would keep no digits
+        near_fock = qutrit.make_state(1.0, c2, 0.0)
+        expected = 0.5 * (1.0 + c2**2 / (1.0 + c2**2))
+        assert abs(synthesis.fidelity_bound(near_fock, trit_basis("zero")) - expected) <= 1e-15
+
+    def test_reported_with_the_result(self):
+        for problem in (minus_to_zero(), plus_to_zero_qwp(), minus_to_plus_free_phase()):
+            result = synthesize(problem, 16, 1e-8, 0)
+            assert result.fidelity_bound == synthesis.fidelity_bound(
+                problem.input_state, problem.target
+            )
+            assert result.fidelity <= result.fidelity_bound + 1e-12
+
+
+STOP_SETS = {
+    "hwp": (PI,), "qwp": (PI / 2,), "hwp,qwp": (PI, PI / 2), "qwp,hwp": (PI / 2, PI),
+    "free": (synthesis.FREE,), "hwp,free": (PI, synthesis.FREE),
+}
+
+
+class TestEarlyStop:
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("kinds", STOP_SETS)
+    def test_same_answer_as_full_walk(self, monkeypatch, kinds, budget):
+        # a smaller random grid keeps this fast; it still runs above 8**5 points
+        monkeypatch.setattr(synthesis, "_MAX_GRID_POINTS", 4096)
+        states = [trit_basis(x) for x in ("plus", "minus", "zero")]
+        states += [qutrit.fock_basis(k) for k in range(3)]
+        problems = [
+            SynthesisProblem(s, t, budget, STOP_SETS[kinds], retune)
+            for i, s in enumerate(states)
+            for t in states
+            for retune in (False, True)[: 2 if i < 2 else 1]
+        ]
+        stopped = [synthesize(p, 8, 1e-8, 0) for p in problems]
+        monkeypatch.setattr(synthesis, "fidelity_bound", lambda *states: 2.0)
+        for problem, early in zip(problems, stopped):
+            full = synthesize(problem, 8, 1e-8, 0)
+            assert (early.plates, early.source_phase, early.fidelity) == (
+                full.plates, full.source_phase, full.fidelity
+            )
+            assert early.evaluations <= full.evaluations
+
+    def test_stops_after_the_assignment_that_reaches_the_bound(self, monkeypatch):
+        searched = []
+        search = synthesis._search
+
+        def counted_search(problem, assignment, *args):
+            searched.append(assignment)
+            return search(problem, assignment, *args)
+
+        monkeypatch.setattr(synthesis, "_search", counted_search)
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 2, (PI / 2, PI))
+        result = synthesize(problem, 16, 1e-8, 0)
+        assert result.fidelity > 1 - 1e-9
+        assert searched == [(PI / 2, PI / 2)]
+
+    def test_near_miss_walks_on(self):
+        # a plate 1e-5 short of half-wave falls 2.5e-11 short of the bound,
+        # beyond the tie tolerance, so the half-wave plate after it still wins
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 1, (PI - 1e-5, PI))
+        result = synthesize(problem)
+        assert result.plates[0].retardance == PI
+        assert result.fidelity == pytest.approx(1.0, abs=1e-15)
+
+
 class TestProblemValidation:
     def test_budget_bounds(self):
         with pytest.raises(ValueError):
