@@ -15,7 +15,6 @@ import re
 import sys
 
 import numpy as np
-import yaml
 
 from . import __version__, io, observables, qutrit, synthesis, verify
 from .errors import ConfigError
@@ -55,6 +54,7 @@ def _flag_angle(flag: str, text: str, degrees: bool, parse=parse_angle):
 
 
 def _echo_config(cfg) -> None:
+    import yaml
     print(yaml.safe_dump({"resolved_config": io.config_to_mapping(cfg)}, sort_keys=False), end="")
 
 
@@ -63,48 +63,39 @@ def _parse_retardance_flag(text: str, degrees: bool):
     return name if name in io.RETARDANCE_NAMES else parse_angle(name, degrees)
 
 
-# Override flag (argparse dest) -> (config section or None for the top level,
-# field, parser for the flag's text or None for a value argparse has typed).
-_OVERRIDES = {
-    "phi": ("source", "phase", parse_angle),
-    "t20": ("source", "t20", None),
-    "t02": ("source", "t02", None),
-    "jitter": ("source", "phase_jitter", None),
-    "pair_rate": ("source", "pair_rate", None),
-    "chi": ("plate", "angle", parse_angle),
-    "retardance": ("plate", "retardance", _parse_retardance_flag),
-    "analysis": (None, "analysis", None),
-    "eta1": (None, "eta1", None),
-    "eta2": (None, "eta2", None),
-    "accidental_rate": (None, "accidental_rate", None),
-}
+# The `sweep`/`mc` override flags: (flag, config section or None for the top
+# level, field, parser of the flag's text with --deg or None, argparse keywords).
+_OVERRIDES = (
+    ("--phi", "source", "phase", parse_angle, dict(help="override source phase (radians or 'pi' form)")),
+    ("--chi", "plate", "angle", parse_angle, dict(help="override plate angle")),
+    ("--retardance", "plate", "retardance", _parse_retardance_flag,
+     dict(help="override plate retardance ('half', 'quarter', radians or 'pi' form)")),
+    ("--analysis", None, "analysis", None, dict(choices=["none", "x", "y"], help="override analysis block")),
+    ("--eta1", None, "eta1", None, dict(type=float, help="override detector 1 efficiency")),
+    ("--eta2", None, "eta2", None, dict(type=float, help="override detector 2 efficiency")),
+    ("--pair-rate", "source", "pair_rate", None, dict(type=float, help="override pair rate (1/s)")),
+    ("--accidental-rate", None, "accidental_rate", None,
+     dict(type=float, help="override accidental rate (1/s)")),
+    ("--t20", "source", "t20", None, dict(type=float, help="override |2,0> arm amplitude transmission")),
+    ("--t02", "source", "t02", None, dict(type=float, help="override |0,2> arm amplitude transmission")),
+    ("--jitter", "source", "phase_jitter", None, dict(type=float, help="override source phase jitter (radians)")),
+)
 
 
 def _apply_overrides(cfg, args):
     """Set the given flags on `cfg`'s mapping and validate it once, as a config file."""
     mapping = io.config_to_mapping(cfg)
-    for dest, (section, field, parse) in _OVERRIDES.items():
-        value = getattr(args, dest)
+    for flag, section, field, parse, _ in _OVERRIDES:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
             node = mapping[section] if section else mapping
-            node[field] = _flag_angle(f"--{dest}", value, args.deg, parse) if parse else value
+            node[field] = _flag_angle(flag, value, args.deg, parse) if parse else value
     return io.config_from_mapping(mapping)
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--phi", help="override source phase (radians or 'pi' form)")
-    parser.add_argument("--chi", help="override plate angle")
-    parser.add_argument("--retardance", help="override plate retardance ('half', 'quarter', radians or 'pi' form)")
-    parser.add_argument("--analysis", choices=["none", "x", "y"], help="override analysis block")
-    parser.add_argument("--eta1", type=float, help="override detector 1 efficiency")
-    parser.add_argument("--eta2", type=float, help="override detector 2 efficiency")
-    parser.add_argument("--pair-rate", dest="pair_rate", type=float, help="override pair rate (1/s)")
-    parser.add_argument(
-        "--accidental-rate", dest="accidental_rate", type=float, help="override accidental rate (1/s)"
-    )
-    parser.add_argument("--t20", type=float, help="override |2,0> arm amplitude transmission")
-    parser.add_argument("--t02", type=float, help="override |0,2> arm amplitude transmission")
-    parser.add_argument("--jitter", type=float, help="override source phase jitter (radians)")
+    for flag, _, _, _, keywords in _OVERRIDES:
+        parser.add_argument(flag, **keywords)
     parser.add_argument("--deg", action="store_true", help="interpret numeric angles as degrees")
 
 
@@ -226,11 +217,6 @@ def cmd_synth(args) -> int:
     unknown = [p for p in plates if p not in _PLATE_NAMES]
     if unknown:
         raise ConfigError(f"unknown plate kind(s) {unknown} (use hwp, qwp or free)")
-    retardances = []
-    for p in plates:
-        if _PLATE_NAMES[p] not in retardances:
-            retardances.append(_PLATE_NAMES[p])
-
     # Source-phase handling: an explicit --phi pins the input to the matching
     # source setting; '--phi free' (the default for plus/minus inputs) lets
     # the search retune the source phase alongside the plates.
@@ -254,7 +240,7 @@ def cmd_synth(args) -> int:
         input_state=input_state,
         target=target,
         budget=len(plates),
-        retardances=tuple(retardances),
+        retardances=tuple(_PLATE_NAMES[p] for p in plates),
         optimize_source_phase=optimize_phase,
     )
     result = synthesis.synthesize(problem, args.grid_density, args.tol, args.seed)

@@ -4,6 +4,7 @@ Experiment configs are YAML documents whose schema is the config
 dataclasses (documented in the README).  Sweep tables and count tables are
 written as CSV with the `# triphot v1` header line and the resolved config
 echoed as one-line JSON comments, or as an equivalent YAML document.  All writes are atomic (temp file then rename).
+PyYAML loads only where a YAML file is read or written.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import tempfile
 import typing
 
 import numpy as np
-import yaml
 
 from .errors import ConfigError
 from .experiment import CountTable, ExperimentConfig, SweepTable
@@ -107,6 +107,7 @@ def config_to_mapping(cfg: ExperimentConfig) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     """Read an experiment config from a YAML file."""
+    import yaml
     with open(path) as handle:
         text = handle.read()
     try:
@@ -221,6 +222,7 @@ def read_counts_csv(path: str) -> tuple[CountTable, ExperimentConfig, dict | Non
 
 
 def write_sweep_yaml(table: SweepTable, path: str) -> None:
+    import yaml
     doc = {
         "triphot": "v1",
         "kind": "sweep",
@@ -237,6 +239,7 @@ def write_sweep_yaml(table: SweepTable, path: str) -> None:
 def write_counts_yaml(
     table: CountTable, config: ExperimentConfig, path: str, run_meta: dict | None = None
 ) -> None:
+    import yaml
     doc = {
         "triphot": "v1",
         "kind": "counts",

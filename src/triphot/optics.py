@@ -112,14 +112,21 @@ def lift(j: np.ndarray) -> np.ndarray:
     # One matrix unpacks to numpy scalars, the cheap path for per-point callers.
     single = j.ndim == 2
     a, b, c, d = j.flat if single else np.moveaxis(j.reshape(*j.shape[:-2], 4), -1, 0)
-    g = np.array(
-        [
-            [a * a, _SQRT2 * a * b, b * b],
-            [_SQRT2 * a * c, a * d + b * c, _SQRT2 * b * d],
-            [c * c, _SQRT2 * c * d, d * d],
-        ]
-    )
+    g = np.array(lift_entries(a, b, c, d))
     return g if single else np.moveaxis(g, (0, 1), (-2, -1))
+
+
+def lift_entries(a, b, c, d) -> tuple:
+    """The lift of [[a, b], [c, d]] as three rows of three entries.
+
+    Only elementwise arithmetic is used, so the entries may be scalars or
+    arrays of one shape, and each lifted entry takes that shape.
+    """
+    return (
+        (a * a, _SQRT2 * a * b, b * b),
+        (_SQRT2 * a * c, a * d + b * c, _SQRT2 * b * d),
+        (c * c, _SQRT2 * c * d, d * d),
+    )
 
 
 def is_unitary(g: np.ndarray, tol: float = UNITARY_TOL) -> bool:

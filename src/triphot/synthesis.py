@@ -16,12 +16,14 @@ more plates, or a 'free' retardance) takes a coarse uniform grid over all
 free angles, then Newton refinement of the best grid points.  The fidelity
 has a fixed degree in every parameter, so equally spaced samples along each
 axis and each pair of axes give its exact gradient and Hessian; the grid
-density, refinement tolerance and seed act only on this path.
-Both paths score candidates with one closed-form kernel, on columns of
-points.  Ties among symmetric optima (fidelities within 1e-12) are broken
-toward the lexicographically smallest canonical parameters (plate angles in
-[0, pi), phases in [0, 2*pi)).  Assignments are walked in order, and the walk
-ends at the first that reaches the bound: later ones could only tie.
+density, refinement tolerance and seed act only on this path (the seed must
+be a non-negative integer).  Both paths score candidates with one
+closed-form kernel, on columns of points, and return every candidate they
+refine.  `synthesize` alone breaks ties among symmetric optima (fidelities
+within 1e-12): toward the earliest assignment, then the lexicographically
+smallest canonical parameters (plate angles in [0, pi), phases in
+[0, 2*pi)).  Assignments are walked in order, and the walk ends at the first
+that reaches the bound: later ones could only tie.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ FREE = "free"
 REACHABLE_THRESHOLD = 1.0 - 1e-6
 _MAX_GRID_POINTS = 200_000
 _TWO_PI = 2.0 * math.pi
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT2 = 1.0 / _SQRT2
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 # Grid points scored per kernel call: bounds the kernel's temporaries.
 _GRID_CHUNK = 4096
 # Fidelities within this of the best count as ties.
@@ -72,8 +73,9 @@ class SynthesisProblem:
 
     retardances is the set of allowed plate retardances; each entry is a
     value in radians or the string 'free' for a continuously adjustable
-    plate.  With optimize_source_phase the input is an ideal balanced
-    two-beam source whose phase becomes a search parameter.
+    plate.  It is stored without repeats, in first-seen order.  With
+    optimize_source_phase the input is an ideal balanced two-beam source
+    whose phase becomes a search parameter.
     """
 
     input_state: np.ndarray
@@ -93,7 +95,7 @@ class SynthesisProblem:
         for r in rets:
             if r != FREE and not (isinstance(r, (int, float)) and np.isfinite(r)):
                 raise ValueError(f"retardance must be radians or 'free', got {r!r}")
-        object.__setattr__(self, "retardances", rets)
+        object.__setattr__(self, "retardances", tuple(dict.fromkeys(rets)))
         if self.optimize_source_phase:
             c1, c2, c3 = self.input_state
             if abs(c2) > 1e-9 or abs(abs(c1) - abs(c3)) > 1e-9:
@@ -125,13 +127,17 @@ def fidelity_bound(input_state, target) -> float:
     return float(min(max(0.5 * (1.0 + p_s * p_t + r_s * r_t), 0.0), 1.0))
 
 
-def _default_assignment(problem: SynthesisProblem) -> tuple:
-    return (problem.retardances[0],) * problem.budget
+def _layout(problem: SynthesisProblem, assignment: tuple):
+    """Each parameter's period and the fidelity's harmonic degree in it.
 
-
-def _param_count(problem: SynthesisProblem, assignment: tuple) -> int:
-    n = problem.budget + sum(1 for r in assignment if r == FREE)
-    return n + (1 if problem.optimize_source_phase else 0)
+    Parameters come in the order one axis angle per plate (period pi, degree
+    4 in theta = 2*chi), one retardance per 'free' plate (2*pi, 2), then the
+    source phase when it is searched (2*pi, 1).  Returns (periods array,
+    degree list)."""
+    n_free = sum(1 for r in assignment if r == FREE)
+    n_phase = 1 if problem.optimize_source_phase else 0
+    periods = np.array([math.pi] * problem.budget + [_TWO_PI] * (n_free + n_phase))
+    return periods, [_HARMONICS] * problem.budget + [_FREE_HARMONICS] * n_free + [1] * n_phase
 
 
 def _decode(problem: SynthesisProblem, assignment: tuple, params):
@@ -156,9 +162,10 @@ def _fidelity(problem: SynthesisProblem, assignment: tuple, params):
 
     The plates compose as 2x2 Jones matrices in the `optics.retarder`
     convention, J = cos(d/2) I + i sin(d/2) [[cos 2chi, sin 2chi],
-    [sin 2chi, -cos 2chi]], and the product is lifted entry by entry onto
-    the input state (the `optics.lift` formula).  Only elementwise arithmetic
-    is used, so `params[k]` may be a float or a column of grid points.
+    [sin 2chi, -cos 2chi]], and the product is lifted entry by entry
+    (`optics.lift_entries`) between the target and the input state.  Only
+    elementwise arithmetic is used, so `params[k]` may be a float or a
+    column of grid points.
     """
     plates, phase = _decode(problem, assignment, params)
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
@@ -173,11 +180,12 @@ def _fidelity(problem: SynthesisProblem, assignment: tuple, params):
         s0, s1, s2 = problem.input_state
     else:  # the ideal balanced source, as `source_state(SourceSpec(phase=phase))`
         s0, s1, s2 = _INV_SQRT2, 0.0, _INV_SQRT2 * np.exp(1j * phase)
+    (g00, g01, g02), (g10, g11, g12), (g20, g21, g22) = optics.lift_entries(a, b, c, d)
     t0, t1, t2 = problem.target.conj()
     amp = (
-        t0 * (a * a * s0 + _SQRT2 * a * b * s1 + b * b * s2)
-        + t1 * (_SQRT2 * a * c * s0 + (a * d + b * c) * s1 + _SQRT2 * b * d * s2)
-        + t2 * (c * c * s0 + _SQRT2 * c * d * s1 + d * d * s2)
+        t0 * (g00 * s0 + g01 * s1 + g02 * s2)
+        + t1 * (g10 * s0 + g11 * s1 + g12 * s2)
+        + t2 * (g20 * s0 + g21 * s1 + g22 * s2)
     )
     return amp.real**2 + amp.imag**2
 
@@ -200,9 +208,9 @@ def fidelity_objective(problem: SynthesisProblem, params) -> float:
     take the first entry of the allowed retardance set; `synthesize`
     enumerates the other assignments itself.
     """
-    assignment = _default_assignment(problem)
+    assignment = (problem.retardances[0],) * problem.budget
     params = np.asarray(params, dtype=float)
-    expected = _param_count(problem, assignment)
+    expected = len(_layout(problem, assignment)[0])
     if params.shape != (expected,):
         raise ValueError(f"expected {expected} parameters, got shape {params.shape}")
     return float(_fidelity(problem, assignment, params))
@@ -220,26 +228,13 @@ def realized_fidelity(problem: SynthesisProblem, plates, source_phase) -> float:
 
 
 def _grid_axes(problem: SynthesisProblem, assignment: tuple, density: int):
-    axes = [np.linspace(0.0, math.pi, density, endpoint=False)] * problem.budget
-    axes += [
-        np.linspace(0.0, _TWO_PI, density, endpoint=False)
-        for r in assignment
-        if r == FREE
-    ]
-    if problem.optimize_source_phase:
-        axes.append(np.linspace(0.0, _TWO_PI, density, endpoint=False))
-    return axes
+    periods, _ = _layout(problem, assignment)
+    return [np.linspace(0.0, period, density, endpoint=False) for period in periods]
 
 
-def _wrap_params(problem: SynthesisProblem, params: np.ndarray) -> np.ndarray:
-    """Parameters (a vector, or points as rows) wrapped to their canonical
-    ranges: plate angles to [0, pi), retardances and the phase to [0, 2*pi)."""
-    periods = np.where(np.arange(params.shape[-1]) < problem.budget, math.pi, _TWO_PI)
-    return optics.wrap(params, periods)
-
-
-def _canonical(problem: SynthesisProblem, params: np.ndarray) -> tuple:
-    return tuple(_wrap_params(problem, np.asarray(params, dtype=float)).tolist())
+def _canonical(periods: np.ndarray, params) -> tuple:
+    """A parameter vector wrapped to [0, period) per entry, as a tuple."""
+    return tuple(optics.wrap(np.asarray(params, dtype=float), periods).tolist())
 
 
 def _envelope(p: np.ndarray, q: np.ndarray, theta: np.ndarray):
@@ -274,11 +269,11 @@ def _solve_one_plate(problem: SynthesisProblem, delta: float):
     degree 1 in phi, so 4 phase samples split it as P(theta) +
     Re(Q(theta) e^{i phi}): the best phase is -arg Q and the envelope over the
     phase is G = P + |Q|.  G is sampled finely, and Newton steps on its exact
-    derivatives refine every local maximum of the samples.  Ties resolve to
-    the smallest canonical parameters: theta = 0 when G is flat, phi = 0
-    where F does not depend on the phase.
+    derivatives refine every local maximum of the samples.  Where G is flat
+    the one candidate is theta = 0, and where F does not depend on the phase
+    its phase is 0, the smallest canonical parameters of a tie.
 
-    Returns (fidelity, canonical parameters, kernel samples taken).
+    Returns ([(fidelity, canonical parameters), ...], kernel samples taken).
     """
     theta = np.arange(_THETA_SAMPLES) * (_TWO_PI / _THETA_SAMPLES)
     if problem.optimize_source_phase:
@@ -318,9 +313,7 @@ def _solve_one_plate(problem: SynthesisProblem, delta: float):
         values = np.where(tied, values - np.abs(qv) + qv.real, values)
         columns.append(optics.wrap(_snap(np.where(tied, 0.0, -np.angle(qv)), step), _TWO_PI))
     params = np.stack(columns, axis=-1)
-    eligible = np.flatnonzero(values >= values.max() - _TIE_TOL)
-    best = eligible[np.lexsort(params[eligible].T[::-1])[0]]
-    return float(values[best]), tuple(params[best].tolist()), f.size
+    return list(zip(values.tolist(), map(tuple, params.tolist()))), f.size
 
 
 def _derivative_weights(degree: int):
@@ -351,10 +344,8 @@ def _stencil(problem: SynthesisProblem, assignment: tuple):
     of t, the M offsets of the samples around a centre, and the (1 + M, d)
     and (1 + M, d * d) maps applied to [f(centre), f(centre + offsets)].
     """
-    n_free = sum(1 for r in assignment if r == FREE)
-    n_phase = 1 if problem.optimize_source_phase else 0
-    scale = np.array([0.5] * problem.budget + [1.0] * (n_free + n_phase))
-    degree = [_HARMONICS] * problem.budget + [_FREE_HARMONICS] * n_free + [1] * n_phase
+    periods, degree = _layout(problem, assignment)
+    scale = periods / _TWO_PI
     dims = len(scale)
     directions = [(i,) for i in range(dims)] + list(combinations(range(dims), 2))
     degrees = [sum(degree[i] for i in u) for u in directions]
@@ -443,21 +434,20 @@ def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_t
     """Grid search plus Newton refinement of one plate assignment.
 
     Returns ([(fidelity, canonical parameters), ...], kernel evaluations)."""
-    axes = _grid_axes(problem, assignment, density)
-    dims = len(axes)
+    periods, _ = _layout(problem, assignment)
+    dims = len(periods)
     if density**dims <= _MAX_GRID_POINTS:
-        mesh = np.meshgrid(*axes, indexing="ij")
+        mesh = np.meshgrid(*_grid_axes(problem, assignment, density), indexing="ij")
         points = np.stack([m.ravel() for m in mesh], axis=-1)
     else:
-        highs = np.array([math.pi] * problem.budget + [_TWO_PI] * (dims - problem.budget))
-        points = rng.uniform(0.0, 1.0, (_MAX_GRID_POINTS, dims)) * highs
+        points = rng.uniform(0.0, 1.0, (_MAX_GRID_POINTS, dims)) * periods
     values = _grid_fidelities(problem, assignment, points)
     evaluations = len(points)
 
     best_val = values.max()
     # tie-break grid ties toward the smallest canonical parameters
     tied = np.flatnonzero(values >= best_val - _TIE_TOL)
-    first = tied[np.lexsort(_wrap_params(problem, points[tied]).T[::-1])[0]]
+    first = tied[np.lexsort(optics.wrap(points[tied], periods).T[::-1])[0]]
     # the other starts: the best points in a stable descending sort
     # (grid points are distinct)
     fourth = np.partition(values, len(values) - 4)[len(values) - 4]
@@ -468,8 +458,8 @@ def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_t
     refined, fidelities, n = _refine(
         problem, assignment, points[starts], values[starts], refine_tol
     )
-    found = [(best_val, _canonical(problem, points[first]))]
-    found += [(float(v), _canonical(problem, p)) for v, p in zip(fidelities, refined)]
+    found = [(best_val, _canonical(periods, points[first]))]
+    found += [(float(v), _canonical(periods, p)) for v, p in zip(fidelities, refined)]
     return found, evaluations + n
 
 
@@ -481,15 +471,21 @@ def synthesize(
 ) -> SynthesisResult:
     """Best plate settings for `problem`; deterministic for fixed inputs.
 
-    Each assignment of one plate with a fixed retardance is solved in closed
-    form from 16 kernel samples (64 with the source phase free).  Every other
-    assignment runs the grid search plus Newton refinement, the only path
-    that `grid_density`, `refine_tol` and `seed` act on (all three are
-    checked either way).  Refinement stops a start once its largest
-    parameter step is <= `refine_tol` radians.  `evaluations` counts kernel
-    samples of the assignments walked: the closed form's, grid points, and
-    the refinement's stencil and line-search samples.  The walk stops after
-    the first assignment whose best candidate reaches `fidelity_bound`
+    Assignments of retardances to plates are walked in `itertools.product`
+    order over `problem.retardances`.  Each assignment of one plate with a
+    fixed retardance is solved in closed form from 16 kernel samples (64
+    with the source phase free).  Every other assignment runs the grid
+    search plus Newton refinement, the only path that `grid_density`,
+    `refine_tol` and `seed` act on (all three are checked either way; `seed`
+    must be a non-negative integer).  Refinement stops a start once its
+    largest parameter step is <= `refine_tol` radians.  `evaluations` counts
+    kernel samples of the assignments walked: the closed form's, grid
+    points, and the refinement's stencil and line-search samples.
+
+    Both paths return every candidate they refined, and the one tie-break is
+    here: among candidates within 1e-12 of the best fidelity, the earliest
+    assignment wins, then the smallest canonical parameters.  The walk stops
+    after the first assignment whose best candidate reaches `fidelity_bound`
     within the tie tolerance: later ones could at best tie, and a tie goes
     to the earlier assignment.
 
@@ -503,21 +499,17 @@ def synthesize(
         raise ValueError(f"grid density must be <= {_MAX_GRID_POINTS}, got {grid_density}")
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     rng = None  # made on the first search: the closed form needs no numpy.random
     evaluations = 0
     # a retuned source phase moves the input along its SU(2) orbit: P still serves
     bound = fidelity_bound(problem.input_state, problem.target)
     candidates = []  # (fidelity, assignment_index, canonical params, assignment)
-
-    assignments = []
-    for combo in product(problem.retardances, repeat=problem.budget):
-        if combo not in assignments:
-            assignments.append(combo)
-
-    for a_idx, assignment in enumerate(assignments):
+    # the retardances are distinct, so every assignment is walked once
+    for a_idx, assignment in enumerate(product(problem.retardances, repeat=problem.budget)):
         if problem.budget == 1 and assignment[0] != FREE:
-            value, params, n = _solve_one_plate(problem, assignment[0])
-            found = [(value, params)]
+            found, n = _solve_one_plate(problem, assignment[0])
         else:
             if rng is None:
                 rng = np.random.default_rng(seed)

@@ -140,7 +140,10 @@ import json, sys
 def scipy_modules():
     return [m for m in sys.modules if m.split(".")[0] == "scipy"]
 
-loaded = {}
+def yaml_modules():
+    return [m for m in sys.modules if m.split(".")[0] == "yaml"]
+
+loaded, yaml_loaded = {}, {}
 import triphot.cli
 loaded["import triphot.cli"] = scipy_modules()
 with_cli = sorted(m for m in ("triphot.synthesis", "triphot.verify") if m in sys.modules)
@@ -148,6 +151,12 @@ import triphot
 loaded["import triphot"] = scipy_modules()
 rc = triphot.cli.main(["verify", "--grid", "11", "--samples", "20"])
 loaded["verify"] = scipy_modules()
+# commands that read and write no YAML file
+for argv in (["info"], ["stokes", "plus"], ["synth", "minus->zero"],
+             ["synth", "plus->zero", "--plates", "hwp,qwp"],
+             ["verify", "--grid", "11", "--samples", "20"]):
+    rc |= triphot.cli.main(argv)
+    yaml_loaded[" ".join(argv)] = yaml_modules()
 minus, zero = triphot.trit_basis("minus"), triphot.trit_basis("zero")
 for name, budget, retardances in [
     ("one plate", 1, (3.141592653589793,)),
@@ -158,7 +167,7 @@ for name, budget, retardances in [
     problem = triphot.SynthesisProblem(minus, zero, budget, retardances)
     triphot.synthesize(problem, grid_density=8)
     loaded[name] = scipy_modules()
-print(json.dumps({"rc": rc, "loaded": loaded, "with_cli": with_cli}))
+print(json.dumps({"rc": rc, "loaded": loaded, "yaml_loaded": yaml_loaded, "with_cli": with_cli}))
 """
 
 
@@ -174,6 +183,9 @@ class TestLazyImports:
         stages = ["import triphot.cli", "import triphot", "verify", "one plate", "two plates",
                   "free plate", "five plates"]
         assert report["loaded"] == {stage: [] for stage in stages}
+        # PyYAML loads only where a YAML file is read or written
+        assert {cmd.split()[0] for cmd in report["yaml_loaded"]} == {"info", "stokes", "synth", "verify"}
+        assert all(modules == [] for modules in report["yaml_loaded"].values())
         # the CLI loads synthesis and verify up front
         assert report["with_cli"] == ["triphot.synthesis", "triphot.verify"]
 
@@ -489,6 +501,15 @@ class TestSynthCommand:
         rc = main(["synth", "minus->zero", "--plates", "hwp", "--phi", "pi", "--tol", tol])
         assert rc == 2
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("plates", ["hwp", "hwp,qwp"])
+    @pytest.mark.parametrize("seed", ["-1", "-5"])
+    def test_negative_seed_is_usage_error(self, capsys, plates, seed):
+        # one plate takes the closed form, two the search: both check the seed
+        assert main(["synth", "plus->zero", "--plates", plates, "--seed", seed]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: seed must be a non-negative integer, got {seed}\n"
+        assert captured.out == ""
 
     def test_tiny_tolerance_ends_at_step_cap(self, monkeypatch, capsys):
         # no step gets to 1e-300 rad, so the refinement stops at its step cap

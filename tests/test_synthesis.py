@@ -102,7 +102,7 @@ def kernel_cases():
 
 
 def random_params(rng, problem, assignment, n=None):
-    dims = synthesis._param_count(problem, assignment)
+    dims = len(synthesis._layout(problem, assignment)[0])
     shape = (dims,) if n is None else (n, dims)
     return rng.uniform(-2 * PI, 2 * PI, shape)
 
@@ -259,6 +259,22 @@ class TestSynthesize:
         with pytest.raises(ValueError, match="tolerance"):
             synthesize(minus_to_zero(), 16, tol, 0)
 
+    @pytest.mark.parametrize("seed", [-1, -5, 1.5, "0", None, True])
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_seed_validated_on_both_paths(self, seed, budget, monkeypatch):
+        # budget 1 takes the closed form, budget 2 the search
+        def no_eval(*args):
+            raise AssertionError("objective evaluated")
+
+        monkeypatch.setattr(synthesis, "_fidelity", no_eval)
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), budget, (PI,), False)
+        with pytest.raises(ValueError, match="seed"):
+            synthesize(problem, 16, 1e-8, seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 2, (PI,), False)
+        assert synthesize(problem, 8, 1e-8, np.int64(3)) == synthesize(problem, 8, 1e-8, 3)
+
 
 def one_plate_cases():
     """Random inputs, targets and fixed retardances; every other case retunes
@@ -292,12 +308,13 @@ class TestOnePlateSolver:
     def test_solved_value_matches_realized_fidelity(self):
         for problem in one_plate_cases():
             delta = problem.retardances[0]
-            value, params, _ = synthesis._solve_one_plate(problem, delta)
-            phase = params[1] if problem.optimize_source_phase else None
-            realized = realized_fidelity(problem, (optics.PlateSpec(delta, params[0]),), phase)
-            assert abs(value - realized) <= 1e-12
+            found, _ = synthesis._solve_one_plate(problem, delta)
+            for value, params in found:
+                phase = params[1] if problem.optimize_source_phase else None
+                realized = realized_fidelity(problem, (optics.PlateSpec(delta, params[0]),), phase)
+                assert abs(value - realized) <= 1e-12
             result = synthesize(problem)
-            assert abs(result.fidelity - realized) <= 1e-12
+            assert abs(result.fidelity - max(value for value, _ in found)) <= 1e-12
 
     def test_symmetric_optima_break_to_smallest_angle(self):
         # optima at pi/8 + k pi/4 all reach 1; the smallest must win exactly
@@ -424,6 +441,25 @@ class TestEarlyStop:
         assert result.fidelity > 1 - 1e-9
         assert searched == [(PI / 2, PI / 2)]
 
+    def test_walks_product_order_over_distinct_retardances(self, monkeypatch):
+        # 8 plates of 3 kinds: every one of the 3**8 assignments once, in
+        # `product` order; the stub search stays below the bound throughout
+        walked = []
+
+        def stub_search(problem, assignment, *args):
+            walked.append(assignment)
+            return [(0.0, (0.0,) * len(synthesis._layout(problem, assignment)[0]))], 1
+
+        monkeypatch.setattr(synthesis, "_search", stub_search)
+        kinds = (PI, PI / 2, synthesis.FREE)
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 8,
+                                   (PI, PI / 2, PI, synthesis.FREE, PI / 2), False)
+        assert problem.retardances == kinds
+        result = synthesize(problem, 8, 1e-8, 0)
+        assert walked == list(product(kinds, repeat=8))
+        assert result.evaluations == 3**8
+        assert [p.retardance for p in result.plates] == [PI] * 8
+
     def test_near_miss_walks_on(self):
         # a plate 1e-5 short of half-wave falls 2.5e-11 short of the bound,
         # beyond the tie tolerance, so the half-wave plate after it still wins
@@ -443,6 +479,22 @@ class TestProblemValidation:
     def test_empty_retardances(self):
         with pytest.raises(ValueError):
             SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 1, (), False)
+
+    def test_retardances_stored_without_repeats(self):
+        problem = SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 2,
+                                   (PI, PI / 2, PI, synthesis.FREE, PI / 2, synthesis.FREE))
+        assert problem.retardances == (PI, PI / 2, synthesis.FREE)
+
+    @pytest.mark.parametrize("budget", [1, 2, 3])
+    @pytest.mark.parametrize("retune", [False, True])
+    def test_repeated_retardance_gives_the_same_result(self, budget, retune):
+        rng = np.random.default_rng(budget + 10 * retune)
+        inp = trit_basis("minus") if retune else random_state(rng)
+        target = random_state(rng)
+        repeated = SynthesisProblem(inp, target, budget, (PI, PI / 2, PI), retune)
+        distinct = SynthesisProblem(inp, target, budget, (PI, PI / 2), retune)
+        assert repeated.retardances == distinct.retardances
+        assert synthesize(repeated, 8, 1e-8, 4) == synthesize(distinct, 8, 1e-8, 4)
 
     def test_bad_retardance_entry(self):
         with pytest.raises(ValueError):
@@ -500,11 +552,12 @@ def nelder_mead_refine(problem, assignment, starts, values, refine_tol):
     return np.array(points), np.array(fidelities), evaluations
 
 
-def reference_starts(problem, points, values):
+def reference_starts(problem, assignment, points, values):
     """Refinement starts picked with a full sort and a Python tie-break sort."""
     order = np.argsort(-values, kind="stable")
     tied = list(order[: np.count_nonzero(values >= values[order[0]] - synthesis._TIE_TOL)])
-    tied.sort(key=lambda i: synthesis._canonical(problem, points[i]))
+    periods, _ = synthesis._layout(problem, assignment)
+    tied.sort(key=lambda i: synthesis._canonical(periods, points[i]))
     starts = [tied[0]]
     for i in order[: max(4, len(tied))]:
         if len(starts) >= 4:
@@ -617,4 +670,5 @@ class TestNewtonRefinement:
                 points = np.stack(np.meshgrid(*synthesis._grid_axes(problem, (PI, PI), density),
                                               indexing="ij"), axis=-1).reshape(-1, 2 + retune)
                 values = synthesis._grid_fidelities(problem, (PI, PI), points)
-                assert np.array_equal(seen[0], points[reference_starts(problem, points, values)])
+                starts = reference_starts(problem, (PI, PI), points, values)
+                assert np.array_equal(seen[0], points[starts])
