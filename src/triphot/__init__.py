@@ -29,7 +29,6 @@ from .optics import (
     PlateSpec,
     apply,
     apply_conditioned,
-    compose,
     half_wave,
     is_in_plate_subgroup,
     lift,
@@ -65,7 +64,6 @@ from .experiment import (
 from .synthesis import (
     SynthesisProblem,
     SynthesisResult,
-    fidelity_objective,
     reachability_report,
     synthesize,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "PlateSpec",
     "apply",
     "apply_conditioned",
-    "compose",
     "half_wave",
     "is_in_plate_subgroup",
     "lift",
@@ -115,7 +112,6 @@ __all__ = [
     "visibility",
     "SynthesisProblem",
     "SynthesisResult",
-    "fidelity_objective",
     "reachability_report",
     "synthesize",
 ]

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__, io, observables, qutrit, synthesis, verify
 from .errors import ConfigError
-from .experiment import SourceSpec, simulate_counts, source_state, sweep
+from .experiment import ANALYSIS_CHOICES, SourceSpec, simulate_counts, source_state, sweep
 from .optics import PlateSpec
 from .qutrit import TRIT_DIGITS
 
@@ -70,7 +70,7 @@ _OVERRIDES = (
     ("--chi", "plate", "angle", parse_angle, dict(help="override plate angle")),
     ("--retardance", "plate", "retardance", _parse_retardance_flag,
      dict(help="override plate retardance ('half', 'quarter', radians or 'pi' form)")),
-    ("--analysis", None, "analysis", None, dict(choices=["none", "x", "y"], help="override analysis block")),
+    ("--analysis", None, "analysis", None, dict(choices=ANALYSIS_CHOICES, help="override analysis block")),
     ("--eta1", None, "eta1", None, dict(type=float, help="override detector 1 efficiency")),
     ("--eta2", None, "eta2", None, dict(type=float, help="override detector 2 efficiency")),
     ("--pair-rate", "source", "pair_rate", None, dict(type=float, help="override pair rate (1/s)")),
@@ -148,16 +148,22 @@ def cmd_mc(args) -> int:
 _FOCK_NAMES = {(2, 0): 0, (1, 1): 1, (0, 2): 2}
 
 
+def _trit_label(text: str) -> str | None:
+    """'plus', 'minus' or 'zero' from a label such as 'Psi_minus', else None."""
+    label = text.strip().lower().removeprefix("psi_")
+    return label if label in TRIT_DIGITS else None
+
+
 def parse_state(text: str) -> np.ndarray:
     """State spec: trit label ('psi_plus', 'minus', ...), Fock pair 'Nx,Ny',
     or three comma-separated complex amplitudes (normalized automatically)."""
     text = text.strip()
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
-        label = parts[0].lower().removeprefix("psi_")
-        if label in TRIT_DIGITS:
-            return qutrit.trit_basis(label)
-        raise ConfigError(f"unknown state label {text!r}")
+        label = _trit_label(text)
+        if label is None:
+            raise ConfigError(f"unknown state label {text!r}")
+        return qutrit.trit_basis(label)
     if len(parts) == 2:
         try:
             pair = (int(parts[0]), int(parts[1]))
@@ -207,8 +213,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(
             f"cannot parse transition {args.transition!r} (expected e.g. 'minus->zero')"
         )
-    source = parts[0].strip().lower().removeprefix("psi_")
-    if source not in TRIT_DIGITS:
+    source = _trit_label(parts[0])
+    if source is None:
         raise ConfigError(f"unknown trit label {parts[0].strip()!r} (use plus, minus or zero)")
     input_state = qutrit.trit_basis(source)
     target = parse_state(parts[1])

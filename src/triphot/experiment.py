@@ -33,6 +33,14 @@ ANALYSIS_CHOICES = ("none", "x", "y")
 MAX_BINS = 10**6
 # Largest grid `sweep` accepts: about 8 MB per array it builds.
 MAX_STEPS = 10**6
+# numpy's Poisson sampler rejects a mean above this (its POISSON_LAM_MAX).
+POISSON_MEAN_MAX = (2**63 - 1) - math.sqrt(2**63 - 1) * 10
+
+
+def check_seed(seed) -> None:
+    """Require a non-negative integer seed: numpy's own error names no seed."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def _store_floats(spec) -> None:
@@ -97,6 +105,9 @@ class ExperimentConfig:
                 f"accidental_rate must be finite and >= 0, got {self.accidental_rate!r}"
             )
         _store_floats(self)
+        # bounds every predicted rate; a Python float overflows to inf unwarned
+        if self.source.pair_rate * self.eta1 * self.eta2 + self.accidental_rate == math.inf:
+            raise ValueError("source.pair_rate * eta1 * eta2 + accidental_rate overflows a float")
 
     @property
     def mode(self) -> str:
@@ -211,11 +222,10 @@ def predict_rate(
     |alpha + beta e^{i theta}|^2 * eta1 * eta2, a single harmonic in theta,
     so Gaussian jitter of width sigma damps the interference term by
     exp(-sigma^2/2).  With sigma = 0 the value equals the deterministic
-    pipeline probability times the pair rate, plus accidentals.  An array
-    `phi` (source phase override) gives an array of rates from that one lift.
+    pipeline probability times the pair rate, plus accidentals.  `phi`
+    overrides the source phase and `chi` the plate angle; an array `phi`
+    gives an array of rates from that one lift.
     """
-    if phi is not None and chi is not None:
-        raise ValueError("override at most one of phi and chi")
     plate = cfg.plate if chi is None else replace(cfg.plate, angle=chi)
     phase = cfg.source.phase if phi is None else phi
     jones = optics.retarder(plate.retardance, plate.angle)
@@ -279,7 +289,14 @@ def simulate_counts(
     n_bins = math.floor(bins)
     if n_bins < 1:
         raise ValueError("duration shorter than one bin")
-    counts = np.random.default_rng(seed).poisson(predict_rate(cfg) * bin_width, n_bins)
+    check_seed(seed)
+    mean = float(predict_rate(cfg)) * bin_width
+    if mean > POISSON_MEAN_MAX:
+        raise ValueError(
+            f"mean count per bin {mean:.6g} (rate from source.pair_rate, eta1, eta2 and "
+            f"accidental_rate, times the bin) exceeds numpy's Poisson limit {POISSON_MEAN_MAX:.6g}"
+        )
+    counts = np.random.default_rng(seed).poisson(mean, n_bins)
     # bin i starts at float(i) * bin_width, rounded once, as in i * bin_width
     t_start = np.arange(n_bins, dtype=float)
     t_start *= bin_width

@@ -13,6 +13,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import tempfile
 import typing
 
@@ -24,6 +25,9 @@ from .experiment import CountTable, ExperimentConfig, SweepTable
 CSV_MAGIC = "# triphot v1"
 
 RETARDANCE_NAMES = {"half": math.pi, "quarter": math.pi / 2}
+# A float in YAML 1.2's core schema.  PyYAML resolves YAML 1.1, which leaves
+# `1e3` (no dot) and `1.0e3` (unsigned exponent) as strings.
+_YAML12_FLOAT = r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?"
 
 
 def atomic_write_text(path: str, text: str) -> None:
@@ -72,6 +76,8 @@ def _build(cls, node, section: str = ""):
     kwargs = {}
     for field in dataclasses.fields(cls):
         path, typ, value = prefix + field.name, hints[field.name], node.get(field.name)
+        if typ is float and isinstance(value, str) and re.fullmatch(_YAML12_FLOAT, value):
+            value = float(value)
         if dataclasses.is_dataclass(typ):
             kwargs[field.name] = _build(typ, node.get(field.name, {}), path)
         elif field.name not in node:

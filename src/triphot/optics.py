@@ -168,11 +168,6 @@ def apply_conditioned(g: np.ndarray, s: np.ndarray):
     return out / np.sqrt(survival), survival
 
 
-def compose(g2: np.ndarray, g1: np.ndarray) -> np.ndarray:
-    """Operator product g2 @ g1 (g1 acts first)."""
-    return np.asarray(g2, dtype=complex) @ np.asarray(g1, dtype=complex)
-
-
 # Gell-Mann matrices, standard ordering.
 GELL_MANN = (
     np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=complex),
@@ -215,10 +210,6 @@ def phase_aligned_residual(a: np.ndarray, b: np.ndarray) -> float:
     if abs(gram) < 1e-300:
         return float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
     return float(np.linalg.norm(a - (np.conj(gram) / abs(gram)) * b))
-
-
-def operators_equal_up_to_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
-    return phase_aligned_residual(a, b) < tol
 
 
 def is_in_plate_subgroup(g: np.ndarray, tol: float = 1e-9) -> bool:

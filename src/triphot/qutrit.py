@@ -22,6 +22,8 @@ algebra stays exact; use `fidelity`/`states_equal` for phase-blind comparison.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ZeroStateError
@@ -31,20 +33,26 @@ _ZERO_NORM_SQ = 1e-30
 
 TRIT_LABELS = ("plus", "minus", "zero")
 TRIT_DIGITS = {"plus": 0, "minus": 1, "zero": 2}
-DIGIT_TRITS = {digit: label for label, digit in TRIT_DIGITS.items()}
 
 _SQRT2 = np.sqrt(2.0)
 
 
-def make_state(c1: complex, c2: complex, c3: complex) -> np.ndarray:
-    """Normalize amplitudes (c1, c2, c3) into a unit state vector."""
-    c = np.array([c1, c2, c3], dtype=complex)
+def _normalized(c: np.ndarray, what: str) -> np.ndarray:
+    """`c` divided by its norm.  Rejects non-finite entries, a (near-)zero
+    norm (ZeroStateError) and a squared norm past the float range."""
     if not np.all(np.isfinite(c.view(float))):
         raise ValueError("amplitudes must be finite")
     nsq = float(np.vdot(c, c).real)
     if nsq <= _ZERO_NORM_SQ:
-        raise ZeroStateError("cannot normalize a (near-)zero amplitude triple")
+        raise ZeroStateError(f"cannot normalize a (near-)zero {what}")
+    if nsq == math.inf:
+        raise ValueError(f"squared norm of the {what} overflows a float; scale it down")
     return c / np.sqrt(nsq)
+
+
+def make_state(c1: complex, c2: complex, c3: complex) -> np.ndarray:
+    """Normalize amplitudes (c1, c2, c3) into a unit state vector."""
+    return _normalized(np.array([c1, c2, c3], dtype=complex), "amplitude triple")
 
 
 def fock_basis(k: int) -> np.ndarray:
@@ -65,22 +73,6 @@ def trit_basis(label: str) -> np.ndarray:
     if label == "zero":
         return np.array([0.0, 1.0, 0.0], dtype=complex)
     raise ValueError(f"unknown trit label {label!r}, expected one of {TRIT_LABELS}")
-
-
-def trit_digit(label: str) -> int:
-    """Ternary digit assigned to a trit label."""
-    try:
-        return TRIT_DIGITS[label]
-    except KeyError:
-        raise ValueError(f"unknown trit label {label!r}, expected one of {TRIT_LABELS}") from None
-
-
-def trit_from_digit(digit: int) -> str:
-    """Trit label carrying a ternary digit."""
-    try:
-        return DIGIT_TRITS[digit]
-    except KeyError:
-        raise ValueError(f"trit digit must be 0, 1 or 2, got {digit!r}") from None
 
 
 def require_normalized(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
@@ -112,11 +104,7 @@ def states_equal(a: np.ndarray, b: np.ndarray, tol: float = NORM_TOL) -> bool:
 
 def jones_vector(ex: complex, ey: complex) -> np.ndarray:
     """Normalize a single-photon polarization amplitude pair (ex, ey)."""
-    v = np.array([ex, ey], dtype=complex)
-    nsq = float(np.vdot(v, v).real)
-    if nsq <= _ZERO_NORM_SQ:
-        raise ZeroStateError("cannot normalize a (near-)zero Jones vector")
-    return v / np.sqrt(nsq)
+    return _normalized(np.array([ex, ey], dtype=complex), "Jones vector")
 
 
 def linear(theta: float) -> np.ndarray:
@@ -143,15 +131,6 @@ def pair_state(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=complex)
     if u.shape != (2,) or v.shape != (2,):
         raise ValueError("Jones vectors must have shape (2,)")
-    if float(np.vdot(u, u).real) <= _ZERO_NORM_SQ or float(np.vdot(v, v).real) <= _ZERO_NORM_SQ:
-        raise ZeroStateError("photon polarization vectors must be nonzero")
-    c = np.array(
-        [u[0] * v[0], (u[0] * v[1] + u[1] * v[0]) / _SQRT2, u[1] * v[1]],
-        dtype=complex,
-    )
-    nsq = float(np.vdot(c, c).real)
-    if nsq <= _ZERO_NORM_SQ:
-        # unreachable for nonzero u, v: the symmetric product of nonzero
-        # 2-vectors never vanishes
-        raise ZeroStateError("symmetric product vanished")
-    return c / np.sqrt(nsq)
+    # make_state rejects an infinite or overflowing product; numpy need not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        return make_state(u[0] * v[0], (u[0] * v[1] + u[1] * v[0]) / _SQRT2, u[1] * v[1])

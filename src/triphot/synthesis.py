@@ -35,7 +35,7 @@ from itertools import combinations, product
 import numpy as np
 
 from . import observables, optics, qutrit
-from .experiment import SourceSpec, source_state
+from .experiment import SourceSpec, check_seed, source_state
 from .optics import PlateSpec
 
 FREE = "free"
@@ -198,22 +198,6 @@ def _grid_fidelities(problem: SynthesisProblem, assignment: tuple, points: np.nd
             problem, assignment, points[lo : lo + _GRID_CHUNK].T
         )
     return values
-
-
-def fidelity_objective(problem: SynthesisProblem, params) -> float:
-    """Phase-blind fidelity of the candidate parameters for `problem`.
-
-    The vector holds one axis angle per plate, then one retardance per
-    'free' plate, then the source phase when that is being optimized.  Plates
-    take the first entry of the allowed retardance set; `synthesize`
-    enumerates the other assignments itself.
-    """
-    assignment = (problem.retardances[0],) * problem.budget
-    params = np.asarray(params, dtype=float)
-    expected = len(_layout(problem, assignment)[0])
-    if params.shape != (expected,):
-        raise ValueError(f"expected {expected} parameters, got shape {params.shape}")
-    return float(_fidelity(problem, assignment, params))
 
 
 def realized_fidelity(problem: SynthesisProblem, plates, source_phase) -> float:
@@ -499,8 +483,7 @@ def synthesize(
         raise ValueError(f"grid density must be <= {_MAX_GRID_POINTS}, got {grid_density}")
     if not (math.isfinite(refine_tol) and refine_tol > 0):
         raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    check_seed(seed)
     rng = None  # made on the first search: the closed form needs no numpy.random
     evaluations = 0
     # a retuned source phase moves the input along its SU(2) orbit: P still serves

@@ -55,8 +55,8 @@ def _fock_weight(delta: float, analysis: str, chis, phis: np.ndarray) -> np.ndar
     default source and detectors: |c2|^2 directly, |c1|^2/2 and |c3|^2/2
     behind the x and y analysis blocks.  Shape (len(chis), len(phis))."""
     scale = 1.0 if analysis == "none" else 2.0
-    cfgs = (ExperimentConfig(SourceSpec(), PlateSpec(delta, chi), analysis) for chi in chis)
-    return np.array([scale * experiment.predict_rate(cfg, phi=phis) for cfg in cfgs])
+    cfg = ExperimentConfig(SourceSpec(), PlateSpec(delta, 0.0), analysis)
+    return np.array([scale * experiment.predict_rate(cfg, phi=phis, chi=chi) for chi in chis])
 
 
 def check_half_wave_grid(grid: int = 101) -> CheckResult:
@@ -124,6 +124,7 @@ def run_checks(grid: int = 101, samples: int = 1000, seed: int = 12345) -> list[
         raise ValueError(f"grid must be in 2..{MAX_GRID} (--grid), got {grid}")
     if not (1 <= samples <= MAX_SAMPLES):
         raise ValueError(f"samples must be in 1..{MAX_SAMPLES} (--samples), got {samples}")
+    experiment.check_seed(seed)
     return [
         check_half_wave_grid(grid),
         check_quarter_wave_grid(grid),

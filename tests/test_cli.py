@@ -133,6 +133,12 @@ class TestVerify:
         with pytest.raises(ValueError, match="--samples"):
             verify.run_checks(samples=0)
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        assert main(["verify", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
+        assert captured.out == ""
+
 
 _SCIPY_PROBE = """
 import json, sys
@@ -287,6 +293,16 @@ class TestSweepCommand:
         assert abs(table.config.plate.retardance - PI / 2) < 1e-12
         assert abs(np.max(table.rates) - 1.0) < 1e-12  # ideal quarter-wave fringe
 
+    def test_overflowing_rate_is_usage_error(self, fig2_config, tmp_path, capsys):
+        # used to write a row with rate inf after a RuntimeWarning
+        out_path = tmp_path / "s.csv"
+        rc = main(["sweep", fig2_config, "--param", "phi", "-o", str(out_path), "--eta1", "1",
+                   "--eta2", "1", "--pair-rate", "1e308", "--accidental-rate", "1e308"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "source.pair_rate * eta1 * eta2 + accidental_rate overflows" in err
+        assert not out_path.exists()
+
     def test_retardance_flag_accepts_radians_and_pi_forms(self, fig2_config, tmp_path):
         out_path = str(tmp_path / "r.csv")
         base = ["sweep", fig2_config, "--param", "phi", "--steps", "5", "-o", out_path]
@@ -400,6 +416,22 @@ class TestMcCommand:
         assert "error:" in capsys.readouterr().err
         assert not out_path.exists()
 
+    def test_negative_seed_is_usage_error(self, fig2_config, tmp_path, capsys):
+        out_path = tmp_path / "neg.csv"
+        rc = main(["mc", fig2_config, "--seed", "-1", "--duration", "5", "-o", str(out_path)])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+        assert not out_path.exists()
+
+    def test_mean_past_poisson_limit_is_usage_error(self, fig2_config, tmp_path, capsys):
+        out_path = tmp_path / "big.csv"
+        rc = main(["mc", fig2_config, "--duration", "5", "--pair-rate", "1e300",
+                   "-o", str(out_path)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "source.pair_rate" in err and "Poisson limit 9.22337e+18" in err
+        assert not out_path.exists()
+
     def test_accidentals_only(self, fig2_config, tmp_path):
         out = str(tmp_path / "acc.csv")
         rc = main(
@@ -445,6 +477,11 @@ class TestStokesCommand:
 
     def test_bad_state(self, capsys):
         assert main(["stokes", "psi_sideways"]) == 2
+
+    def test_overflowing_amplitudes_named(self, capsys):
+        assert main(["stokes", "1e308,1e308,0"]) == 2
+        err = capsys.readouterr().err
+        assert "squared norm of the amplitude triple overflows" in err
 
 
 class TestSynthCommand:

@@ -1,5 +1,6 @@
 """Tests for the interference apparatus model."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -64,6 +65,18 @@ class TestSourceState:
     def test_both_arms_blocked(self):
         with pytest.raises(ValueError):
             SourceSpec(phase=0.0, t20=0.0, t02=0.0)
+
+
+class TestLargestRate:
+    def test_overflowing_rate_bound_rejected(self):
+        source = SourceSpec(pair_rate=1e308)
+        with pytest.raises(ValueError, match="pair_rate . eta1 . eta2 . accidental_rate"):
+            ExperimentConfig(source, PlateSpec.half(0.0), accidental_rate=1e308)
+
+    def test_largest_finite_rates_kept(self):
+        cfg = ExperimentConfig(SourceSpec(pair_rate=1e308), PlateSpec.half(0.0),
+                               eta1=0.5, accidental_rate=1e308)
+        assert math.isfinite(predict_rate(cfg, phi=PI, chi=PI / 8))
 
 
 class TestClosedFormLaws:
@@ -228,10 +241,19 @@ class TestPredictRate:
             ) + cfg.accidental_rate
             assert abs(predict_rate(cfg) - oracle) < 1e-9
 
-    def test_double_override_rejected(self):
-        cfg = ideal_config(PlateSpec.half(0.0))
-        with pytest.raises(ValueError):
-            predict_rate(cfg, phi=0.0, chi=0.0)
+    @pytest.mark.parametrize("analysis", ["none", "x", "y"])
+    def test_phi_and_chi_override_together(self, analysis):
+        cfg = ExperimentConfig(
+            SourceSpec(t02=0.7, phase_jitter=0.4, pair_rate=300.0), PlateSpec.quarter(0.0),
+            analysis, eta1=0.9, accidental_rate=0.1,
+        )
+        phis = np.linspace(0.0, 2 * PI, 7)
+        for chi in (0.0, 0.3, 2.9, -1.0):
+            both = predict_rate(cfg, phi=phis, chi=chi)
+            moved = ExperimentConfig(cfg.source, PlateSpec.quarter(chi), analysis, 0.9, 1.0, 0.1)
+            assert np.array_equal(both, predict_rate(moved, phi=phis))
+            # a scalar phi takes numpy's scalar exp, which may differ by an ulp
+            assert abs(both[2] - predict_rate(cfg, phi=phis[2], chi=chi)) < 1e-12 * both[2]
 
 
 class TestSweep:
@@ -351,6 +373,26 @@ class TestSimulateCounts:
         records = simulate_counts(cfg, seed=5, duration=3.0, bin_width=0.5)
         assert len(records) == 6
         assert [r.t_start for r in records] == [0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
+
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, None, "3"])
+    def test_bad_seed_rejected(self, seed):
+        cfg = ideal_config(PlateSpec.half(0.0))
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed!r}"):
+            simulate_counts(cfg, seed=seed, duration=3.0)
+
+    def test_numpy_integer_seed_matches_int(self):
+        cfg = ideal_config(PlateSpec.half(PI / 8), phase=PI, pair_rate=5.0)
+        assert simulate_counts(cfg, np.int64(9), 20.0) == simulate_counts(cfg, 9, 20.0)
+
+    def test_mean_past_poisson_limit_rejected(self, monkeypatch):
+        cfg = ideal_config(PlateSpec.half(PI / 8), phase=PI, pair_rate=1e300)
+        monkeypatch.setattr(np.random, "default_rng", None)  # nothing is drawn
+        with pytest.raises(ValueError, match=r"source\.pair_rate.*Poisson limit 9\.22337e\+18"):
+            simulate_counts(cfg, seed=0, duration=3.0)
+
+    def test_mean_at_poisson_limit_drawn(self):
+        cfg = ideal_config(PlateSpec.half(PI / 8), phase=PI, pair_rate=experiment.POISSON_MEAN_MAX)
+        assert len(simulate_counts(cfg, seed=0, duration=1.0)) == 1
 
     def test_bad_durations(self):
         cfg = ideal_config(PlateSpec.half(0.0))

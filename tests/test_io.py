@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triphot import io
@@ -78,6 +78,28 @@ class TestLoadConfig:
             io.load_config(
                 write(tmp_path, "source: {pair_rate: fast}\nplate: {retardance: half, angle: 0}\n")
             )
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("1e3", 1000.0), ("1.0e3", 1000.0), ("+2E-1", 0.2), (".5e1", 5.0), ("1.5e+3", 1500.0)],
+    )
+    def test_yaml_1_2_exponent_floats(self, tmp_path, text, value):
+        # PyYAML reads YAML 1.1, where `1e3` and `1.0e3` are strings
+        body = f"source: {{pair_rate: {text}}}\neta1: 5e-1\nplate: {{retardance: 15e-1, angle: 1e-1}}\n"
+        cfg = io.load_config(write(tmp_path, body))
+        assert cfg.source.pair_rate == value
+        assert (cfg.eta1, cfg.plate.retardance, cfg.plate.angle) == (0.5, 1.5, 0.1)
+
+    @pytest.mark.parametrize(
+        "field,text",
+        [("source.pair_rate", "1e3x"), ("source.pair_rate", "e3"), ("eta1", "1e"),
+         ("accidental_rate", "'0x10'"), ("source.phase", "1e3 pi")],
+    )
+    def test_other_strings_still_name_field(self, tmp_path, field, text):
+        section, _, name = field.rpartition(".")
+        body = f"{section}: {{{name}: {text}}}\n" if section else f"{name}: {text}\n"
+        with pytest.raises(ConfigError, match=field.replace(".", r"\.")):
+            io.load_config(write(tmp_path, body + "plate: {retardance: half, angle: 0}\n"))
 
     def test_bad_retardance_string(self, tmp_path):
         with pytest.raises(ConfigError, match="plate.retardance"):
@@ -350,16 +372,20 @@ nonnegative = st.floats(0.0, allow_infinity=False)
 @st.composite
 def configs(draw):
     t20, t02 = draw(st.tuples(unit, unit).filter(any))
+    pair_rate = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
+    eta1, eta2, accidental_rate = draw(unit), draw(unit), draw(nonnegative)
+    # a config whose largest rate overflows a float is rejected
+    assume(pair_rate * eta1 * eta2 + accidental_rate < float("inf"))
     return ExperimentConfig(
         source=SourceSpec(
             phase=draw(finite), t20=t20, t02=t02, phase_jitter=draw(nonnegative),
-            pair_rate=draw(st.floats(0.0, exclude_min=True, allow_infinity=False)),
+            pair_rate=pair_rate,
         ),
         plate=PlateSpec(draw(finite), draw(finite)),
         analysis=draw(st.sampled_from(ANALYSIS_CHOICES)),
-        eta1=draw(unit),
-        eta2=draw(unit),
-        accidental_rate=draw(nonnegative),
+        eta1=eta1,
+        eta2=eta2,
+        accidental_rate=accidental_rate,
     )
 
 

@@ -31,6 +31,15 @@ class TestMakeState:
         with pytest.raises(ValueError):
             qutrit.make_state(np.nan, 0, 0)
 
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_overflowing_norm_rejected(self, big):
+        # the squared norm overflows; dividing by sqrt(inf) would give zeros
+        with pytest.raises(ValueError, match="overflows"):
+            qutrit.make_state(big, big, 0)
+
+    def test_large_finite_norm_kept(self):
+        assert np.allclose(qutrit.make_state(1e150, 1e150, 0), [SQRT2 / 2, SQRT2 / 2, 0])
+
     def test_random_inputs_normalized(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -63,12 +72,8 @@ class TestBases:
             qutrit.trit_basis("up")
 
     def test_digit_bijection(self):
-        assert {qutrit.trit_digit(label) for label in qutrit.TRIT_LABELS} == {0, 1, 2}
-        for label in qutrit.TRIT_LABELS:
-            assert qutrit.trit_from_digit(qutrit.trit_digit(label)) == label
-        assert qutrit.trit_digit("plus") == 0
-        assert qutrit.trit_digit("minus") == 1
-        assert qutrit.trit_digit("zero") == 2
+        assert qutrit.TRIT_DIGITS == {"plus": 0, "minus": 1, "zero": 2}
+        assert tuple(qutrit.TRIT_DIGITS) == qutrit.TRIT_LABELS
 
 
 class TestOverlap:
@@ -132,6 +137,15 @@ class TestPairState:
         with pytest.raises(ZeroStateError):
             qutrit.pair_state(np.zeros(2), np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("scale", [1e200, np.inf])
+    def test_huge_or_infinite_photon_rejected(self, scale):
+        # used to return NaNs; warnings are errors under this suite
+        u = scale * np.array([1.0, 1.0])
+        with pytest.raises(ValueError, match="finite|overflows"):
+            qutrit.pair_state(u, u)
+        with pytest.raises(ValueError, match="finite|overflows"):
+            qutrit.pair_state(u, np.array([1.0, 0.5]))
+
     def test_results_normalized(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
@@ -139,3 +153,18 @@ class TestPairState:
             v = rng.normal(size=2) + 1j * rng.normal(size=2)
             s = qutrit.pair_state(u, v)
             assert abs(np.vdot(s, s).real - 1.0) < 1e-12
+
+
+class TestJonesVector:
+    def test_normalized(self):
+        assert np.allclose(qutrit.jones_vector(3.0, 4.0j), [0.6, 0.8j], atol=1e-15)
+
+    def test_zero_rejected(self):
+        with pytest.raises(ZeroStateError):
+            qutrit.jones_vector(0.0, 0.0)
+
+    @pytest.mark.parametrize("ex,ey", [(1e200, 1e200), (np.inf, 0.0), (np.nan, 1.0)])
+    def test_nonfinite_or_overflowing_rejected(self, ex, ey):
+        # 1e200 used to return [0, 0]
+        with pytest.raises(ValueError, match="finite|overflows"):
+            qutrit.jones_vector(ex, ey)

@@ -8,10 +8,10 @@ import pytest
 
 from triphot import optics, qutrit, synthesis
 from triphot.experiment import SourceSpec, source_state
+from triphot.optics import PlateSpec
 from triphot.qutrit import trit_basis
 from triphot.synthesis import (
     SynthesisProblem,
-    fidelity_objective,
     reachability_report,
     realized_fidelity,
     synthesize,
@@ -39,21 +39,19 @@ def circular_distance(x, y, period):
 
 class TestFidelityObjective:
     def test_half_wave_converts_minus(self):
-        assert abs(fidelity_objective(minus_to_zero(), [PI / 8]) - 1.0) < 1e-12
+        fid = realized_fidelity(minus_to_zero(), [PlateSpec.half(PI / 8)], None)
+        assert abs(fid - 1.0) < 1e-12
 
     def test_half_wave_never_converts_plus(self):
         problem = SynthesisProblem(trit_basis("plus"), trit_basis("zero"), 1, (PI,), False)
         for chi in np.linspace(0, PI, 50):
-            assert fidelity_objective(problem, [chi]) < 1e-12
+            assert realized_fidelity(problem, [PlateSpec.half(chi)], None) < 1e-12
 
     def test_aligned_half_wave_with_retuned_phase(self):
         # the minus -> plus switch: the pi source-phase shift does the work,
         # the axis-aligned half-wave plate leaves the result alone
-        assert abs(fidelity_objective(minus_to_plus_free_phase(), [0.0, 0.0]) - 1.0) < 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            fidelity_objective(minus_to_zero(), [0.1, 0.2])
+        fid = realized_fidelity(minus_to_plus_free_phase(), [PlateSpec.half(0.0)], 0.0)
+        assert abs(fid - 1.0) < 1e-12
 
     def test_joined_beam_half_wave_cannot_swap_plus_minus(self):
         # the lift squares per-photon phases, so no single half-wave plate in
@@ -178,9 +176,10 @@ class TestSynthesize:
     def test_xx_to_zero_best_is_half(self):
         problem = SynthesisProblem(qutrit.fock_basis(0), trit_basis("zero"), 1, (PI,), False)
         result = synthesize(problem, 16, 1e-8, 0)
-        # brute-force oracle over a dense angle grid
+        # brute-force oracle over a dense angle grid, through the optics pipeline
         oracle = max(
-            fidelity_objective(problem, [chi]) for chi in np.linspace(0, PI, 10_000)
+            realized_fidelity(problem, [PlateSpec.half(chi)], None)
+            for chi in np.linspace(0, PI, 10_000)
         )
         assert abs(oracle - 0.5) < 1e-7
         assert abs(result.fidelity - 0.5) < 1e-9
