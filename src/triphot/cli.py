@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import re
 import sys
 
@@ -45,12 +46,19 @@ def parse_angle(text: str, degrees: bool = False) -> float:
     return value
 
 
+@contextlib.contextmanager
+def _flag_errors(flag: str):
+    """Re-raise a ValueError from the block as a ConfigError naming `flag`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def _flag_angle(flag: str, text: str, degrees: bool, parse=parse_angle):
     """`parse` (text, degrees) with the flag named in its error."""
-    try:
+    with _flag_errors(flag):
         return parse(text, degrees)
-    except ConfigError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
 
 
 def _echo_config(cfg) -> None:
@@ -220,9 +228,15 @@ def cmd_synth(args) -> int:
     target = parse_state(parts[1])
 
     plates = [p.strip().lower() for p in args.plates.split(",")]
+    if "" in plates:
+        raise ConfigError(f"--plates: empty plate kind in {args.plates!r} (use hwp, qwp or free)")
     unknown = [p for p in plates if p not in _PLATE_NAMES]
     if unknown:
-        raise ConfigError(f"unknown plate kind(s) {unknown} (use hwp, qwp or free)")
+        raise ConfigError(f"--plates: unknown plate kind(s) {unknown} (use hwp, qwp or free)")
+    with _flag_errors("--grid-density"):
+        synthesis.check_grid_density(args.grid_density)
+    with _flag_errors("--tol"):
+        synthesis.check_refine_tol(args.tol)
     # Source-phase handling: an explicit --phi pins the input to the matching
     # source setting; '--phi free' (the default for plus/minus inputs) lets
     # the search retune the source phase alongside the plates.
@@ -242,13 +256,14 @@ def cmd_synth(args) -> int:
     if optimize_phase and source == "zero":
         raise ConfigError("source-phase optimization needs a plus or minus input")
 
-    problem = synthesis.SynthesisProblem(
-        input_state=input_state,
-        target=target,
-        budget=len(plates),
-        retardances=tuple(_PLATE_NAMES[p] for p in plates),
-        optimize_source_phase=optimize_phase,
-    )
+    with _flag_errors("--plates"):  # the states are valid: only the plate count can fail
+        problem = synthesis.SynthesisProblem(
+            input_state=input_state,
+            target=target,
+            budget=len(plates),
+            retardances=tuple(_PLATE_NAMES[p] for p in plates),
+            optimize_source_phase=optimize_phase,
+        )
     result = synthesis.synthesize(problem, args.grid_density, args.tol, args.seed)
     print(f"transition: {source} -> {parts[1].strip()} (budget {len(plates)}, plates {args.plates})")
     for k, spec in enumerate(result.plates, start=1):
@@ -307,6 +322,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("stokes", help="print Stokes parameters, P and correlators of a state")
+    # a leading '-' then a digit starts amplitudes, as in '-0.5,0.5,0.7', not an
+    # option (argparse before 3.13 takes only a lone negative number so)
+    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("state", help="trit label, 'Nx,Ny' Fock pair, or three complex amplitudes")
     p.set_defaults(func=cmd_stokes)
 

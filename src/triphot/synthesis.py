@@ -24,10 +24,17 @@ within 1e-12): toward the earliest assignment, then the lexicographically
 smallest canonical parameters (plate angles in [0, pi), phases in
 [0, 2*pi)).  Assignments are walked in order, and the walk ends at the first
 that reaches the bound: later ones could only tie.
+
+Tables that depend on no problem are built on first use, kept read-only and
+reused: the one-plate solver's sample angles, DFT, harmonic weights and
+envelope basis (`_series_tables`), the refinement stencil of each parameter
+layout (`_stencil`), and the uniform search grid of each layout and density
+(`_grid`).  Nothing keyed on a problem's states, target or result is kept.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -132,12 +139,19 @@ def _layout(problem: SynthesisProblem, assignment: tuple):
 
     Parameters come in the order one axis angle per plate (period pi, degree
     4 in theta = 2*chi), one retardance per 'free' plate (2*pi, 2), then the
-    source phase when it is searched (2*pi, 1).  Returns (periods array,
-    degree list)."""
+    source phase when it is searched (2*pi, 1).  Returns (periods, degrees),
+    two tuples: together they key the layout's cached tables."""
     n_free = sum(1 for r in assignment if r == FREE)
     n_phase = 1 if problem.optimize_source_phase else 0
-    periods = np.array([math.pi] * problem.budget + [_TWO_PI] * (n_free + n_phase))
-    return periods, [_HARMONICS] * problem.budget + [_FREE_HARMONICS] * n_free + [1] * n_phase
+    periods = (math.pi,) * problem.budget + (_TWO_PI,) * (n_free + n_phase)
+    return periods, (_HARMONICS,) * problem.budget + (_FREE_HARMONICS,) * n_free + (1,) * n_phase
+
+
+def _read_only(*arrays):
+    """Mark `arrays` read-only, as every cached table is, and return them."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def _decode(problem: SynthesisProblem, assignment: tuple, params):
@@ -211,25 +225,63 @@ def realized_fidelity(problem: SynthesisProblem, plates, source_phase) -> float:
     return qutrit.fidelity(problem.target, state)
 
 
-def _grid_axes(problem: SynthesisProblem, assignment: tuple, density: int):
-    periods, _ = _layout(problem, assignment)
-    return [np.linspace(0.0, period, density, endpoint=False) for period in periods]
+@functools.lru_cache(maxsize=4)
+def _grid(periods: tuple, density: int) -> np.ndarray:
+    """The uniform search grid, `density` points per period along each axis,
+    one row per point.  Read-only; an entry holds at most
+    `_MAX_GRID_POINTS` rows of 5 parameters (8 MB)."""
+    axes = [np.linspace(0.0, period, density, endpoint=False) for period in periods]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=-1)
+    points.flags.writeable = False
+    return points
 
 
-def _canonical(periods: np.ndarray, params) -> tuple:
+def _canonical(periods: tuple, params) -> tuple:
     """A parameter vector wrapped to [0, period) per entry, as a tuple."""
     return tuple(optics.wrap(np.asarray(params, dtype=float), periods).tolist())
 
 
-def _envelope(p: np.ndarray, q: np.ndarray, theta: np.ndarray):
+@functools.lru_cache(maxsize=1)
+def _series_tables():
+    """The one-plate solver's tables, built on the first solve, read-only.
+
+    Returns (harmonics, weights, chi, chi_phase, dft, grid, basis): the
+    harmonics n = -4..4; the weights (1, i n, -n^2) that take a series'
+    coefficients to those of its value and first two theta derivatives; the
+    plate angles chi = theta/2 of the 16 theta samples; the (chi, phi)
+    columns of each theta sample at 4 source phases; the DFT from the theta
+    samples to the coefficients; the envelope grid over theta and its basis
+    exp(i theta n).
+    """
+    n = np.arange(-_HARMONICS, _HARMONICS + 1)
+    theta = np.arange(_THETA_SAMPLES) * (_TWO_PI / _THETA_SAMPLES)
+    phases = np.arange(4) * (0.5 * math.pi)
+    grid = np.arange(_ENVELOPE_SAMPLES) * (_TWO_PI / _ENVELOPE_SAMPLES)
+    n, dn, d2n, chi, chi4, phi4, dft, grid, basis = _read_only(
+        n,
+        1j * n,
+        -(n * n),
+        0.5 * theta,
+        np.repeat(0.5 * theta, 4),
+        np.tile(phases, _THETA_SAMPLES),
+        np.exp(-1j * np.outer(n, theta)) / _THETA_SAMPLES,
+        grid,
+        np.exp(1j * np.outer(grid, n)),
+    )
+    return n, (1.0, dn, d2n), chi, (chi4, phi4), dft, grid, basis
+
+
+def _envelope(p: np.ndarray, q: np.ndarray, theta: np.ndarray, basis=None):
     """G = P + |Q| and its first two theta derivatives, with Q, at `theta`.
 
     P and Q are the series with coefficients `p` and `q` on harmonics
-    -4..4.  Where Q = 0 the Q terms drop out (G is P there)."""
-    n = np.arange(-_HARMONICS, _HARMONICS + 1)
-    e = np.exp(1j * np.outer(theta, n))
-    pv, p1, p2 = ((e @ (p * w)).real for w in (1.0, 1j * n, -(n * n)))
-    qv, q1, q2 = (e @ (q * w) for w in (1.0, 1j * n, -(n * n)))
+    -4..4.  Where Q = 0 the Q terms drop out (G is P there).  `basis`, when
+    given, is exp(i theta n) at `theta` (the envelope grid's is tabled)."""
+    n, weights = _series_tables()[:2]
+    e = np.exp(1j * np.outer(theta, n)) if basis is None else basis
+    pv, p1, p2 = ((e @ (p * w)).real for w in weights)
+    qv, q1, q2 = (e @ (q * w) for w in weights)
     r = np.abs(qv)
     safe = np.maximum(r, 1e-30)  # keeps the Q terms finite, and 0 where Q = 0
     w = qv.conj() / safe
@@ -259,34 +311,29 @@ def _solve_one_plate(problem: SynthesisProblem, delta: float):
 
     Returns ([(fidelity, canonical parameters), ...], kernel samples taken).
     """
-    theta = np.arange(_THETA_SAMPLES) * (_TWO_PI / _THETA_SAMPLES)
+    _, _, chi, chi_phase, dft, grid, basis = _series_tables()
     if problem.optimize_source_phase:
-        phases = np.arange(4) * (0.5 * math.pi)
-        f = _fidelity(
-            problem, (delta,), (np.repeat(0.5 * theta, 4), np.tile(phases, _THETA_SAMPLES))
-        ).reshape(_THETA_SAMPLES, 4)
+        f = _fidelity(problem, (delta,), chi_phase).reshape(_THETA_SAMPLES, 4)
         p_samples = f.mean(axis=1)
         q_samples = 0.5 * ((f[:, 0] - f[:, 2]) + 1j * (f[:, 3] - f[:, 1]))
     else:
-        f = p_samples = _fidelity(problem, (delta,), (0.5 * theta,))
+        f = p_samples = _fidelity(problem, (delta,), (chi,))
         q_samples = np.zeros(_THETA_SAMPLES)
-    n = np.arange(-_HARMONICS, _HARMONICS + 1)
-    dft = np.exp(-1j * np.outer(n, theta)) / _THETA_SAMPLES
     p, q = dft @ p_samples, dft @ q_samples
 
     step = _TWO_PI / _ENVELOPE_SAMPLES
-    grid = np.arange(_ENVELOPE_SAMPLES) * step
-    g = _envelope(p, q, grid)[0]
-    if np.ptp(g) <= _TIE_TOL:
+    g = _envelope(p, q, grid, basis)[0]
+    if g.max() - g.min() <= _TIE_TOL:
         t = np.zeros(1)  # every theta ties: the smallest one
     else:
-        t = grid[(g >= np.roll(g, 1)) & (g >= np.roll(g, -1))]
+        ring = np.concatenate((g[-1:], g, g[:1]))  # each sample between its neighbours
+        t = grid[(g >= ring[:-2]) & (g >= ring[2:])]
         for _ in range(_NEWTON_STEPS):
             _, g1, g2, _ = _envelope(p, q, t)
             # a step only where G is concave, and never past a sample spacing
-            dt = np.clip(-g1 / np.where(g2 < 0, g2, -np.inf), -step, step)
+            dt = (-g1 / np.where(g2 < 0, g2, -np.inf)).clip(-step, step)
             t = t + dt
-            if np.max(np.abs(dt)) <= 1e-12:
+            if np.abs(dt).max() <= 1e-12:
                 break
     t = _snap(t, step)
     values, _, _, qv = _envelope(p, q, t)
@@ -312,9 +359,11 @@ def _derivative_weights(degree: int):
     return first, second
 
 
-def _stencil(problem: SynthesisProblem, assignment: tuple):
+@functools.lru_cache(maxsize=32)
+def _stencil(periods: tuple, degree: tuple):
     """Sample offsets, and the linear maps from their fidelities to the exact
-    gradient and Hessian.
+    gradient and Hessian, for the parameter layout (`_layout`) with these
+    periods and degrees.  Built once per layout; the arrays are read-only.
 
     Derivatives are taken in scaled parameters t: theta = 2*chi for a plate
     angle, and a free retardance or the source phase as it is.  The fidelity
@@ -328,8 +377,7 @@ def _stencil(problem: SynthesisProblem, assignment: tuple):
     of t, the M offsets of the samples around a centre, and the (1 + M, d)
     and (1 + M, d * d) maps applied to [f(centre), f(centre + offsets)].
     """
-    periods, degree = _layout(problem, assignment)
-    scale = periods / _TWO_PI
+    scale = np.array(periods) / _TWO_PI
     dims = len(scale)
     directions = [(i,) for i in range(dims)] + list(combinations(range(dims), 2))
     degrees = [sum(degree[i] for i in u) for u in directions]
@@ -348,7 +396,7 @@ def _stencil(problem: SynthesisProblem, assignment: tuple):
     hess[range(dims), range(dims)] = second[:dims]
     for r, (i, j) in enumerate(directions[dims:], start=dims):
         hess[i, j] = hess[j, i] = 0.5 * (second[r] - second[i] - second[j])
-    return scale, offsets, first[:dims].T, hess.reshape(dims * dims, width).T
+    return _read_only(scale, offsets, first[:dims].T, hess.reshape(dims * dims, width).T)
 
 
 def _derivatives(problem: SynthesisProblem, assignment: tuple, stencil, x, f):
@@ -376,7 +424,7 @@ def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine
 
     Returns (points, fidelities, kernel evaluations).
     """
-    stencil = _stencil(problem, assignment)
+    stencil = _stencil(*_layout(problem, assignment))
     scale = stencil[0]
     x, f = np.array(starts, dtype=float), np.array(values, dtype=float)
     active = np.arange(len(x))
@@ -390,7 +438,7 @@ def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine
         lam, vec = np.linalg.eigh(hess)
         coef = np.einsum("sij,si->sj", vec, grad) / np.maximum(np.abs(lam), _CURVATURE_FLOOR)
         step = np.einsum("sij,sj->si", vec, coef)
-        largest = np.max(np.abs(step), axis=1, keepdims=True)
+        largest = np.abs(step).max(axis=1, keepdims=True)
         step *= np.minimum(1.0, _TRUST_RADIUS / np.maximum(largest, 1e-300))
         dx = step * scale
         moved = np.zeros(len(active), dtype=bool)
@@ -406,10 +454,10 @@ def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine
             pending = pending[~ok]
             dx[pending] *= 0.5
             # a step at or below the tolerance would end the start anyway
-            pending = pending[np.max(np.abs(dx[pending]), axis=1) > refine_tol]
+            pending = pending[np.abs(dx[pending]).max(axis=1) > refine_tol]
             if not pending.size:
                 break
-        largest = np.where(moved, np.max(np.abs(dx), axis=1), 0.0)
+        largest = np.where(moved, np.abs(dx).max(axis=1), 0.0)
         active = active[largest > refine_tol]
     return x, f, evaluations
 
@@ -421,9 +469,8 @@ def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_t
     periods, _ = _layout(problem, assignment)
     dims = len(periods)
     if density**dims <= _MAX_GRID_POINTS:
-        mesh = np.meshgrid(*_grid_axes(problem, assignment, density), indexing="ij")
-        points = np.stack([m.ravel() for m in mesh], axis=-1)
-    else:
+        points = _grid(periods, density)
+    else:  # seeded random points, drawn afresh for every search
         points = rng.uniform(0.0, 1.0, (_MAX_GRID_POINTS, dims)) * periods
     values = _grid_fidelities(problem, assignment, points)
     evaluations = len(points)
@@ -445,6 +492,20 @@ def _search(problem: SynthesisProblem, assignment: tuple, density: int, refine_t
     found = [(best_val, _canonical(periods, points[first]))]
     found += [(float(v), _canonical(periods, p)) for v, p in zip(fidelities, refined)]
     return found, evaluations + n
+
+
+def check_grid_density(grid_density: int) -> None:
+    """Reject a grid density outside 8.._MAX_GRID_POINTS with ValueError."""
+    if grid_density < 8:
+        raise ValueError(f"grid density must be >= 8, got {grid_density}")
+    if grid_density > _MAX_GRID_POINTS:
+        raise ValueError(f"grid density must be <= {_MAX_GRID_POINTS}, got {grid_density}")
+
+
+def check_refine_tol(refine_tol: float) -> None:
+    """Reject a refinement tolerance that is not finite and > 0 with ValueError."""
+    if not (math.isfinite(refine_tol) and refine_tol > 0):
+        raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
 
 
 def synthesize(
@@ -477,12 +538,8 @@ def synthesize(
     (see `reachability_report`).  The reported fidelity is recomputed from
     the returned settings through the optics pipeline.
     """
-    if grid_density < 8:
-        raise ValueError(f"grid density must be >= 8, got {grid_density}")
-    if grid_density > _MAX_GRID_POINTS:
-        raise ValueError(f"grid density must be <= {_MAX_GRID_POINTS}, got {grid_density}")
-    if not (math.isfinite(refine_tol) and refine_tol > 0):
-        raise ValueError(f"refinement tolerance must be finite and > 0, got {refine_tol}")
+    check_grid_density(grid_density)
+    check_refine_tol(refine_tol)
     check_seed(seed)
     rng = None  # made on the first search: the closed form needs no numpy.random
     evaluations = 0

@@ -483,6 +483,16 @@ class TestStokesCommand:
         err = capsys.readouterr().err
         assert "squared norm of the amplitude triple overflows" in err
 
+    def test_negative_first_amplitude(self, capsys):
+        # read as amplitudes, not as an option, with or without '--'
+        outputs = []
+        for argv in (["stokes", "-0.5,0.5,0.7"], ["stokes", "--", "-0.5,0.5,0.7"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].err == ""
+        assert outputs[0].out.startswith("state amplitudes (c1, c2, c3): [-0.502519+0.000000j")
+
 
 class TestSynthCommand:
     def test_minus_to_zero(self, capsys):
@@ -578,6 +588,19 @@ class TestSynthCommand:
                    "--grid-density", str(10**9)])
         assert rc == 2
         assert "grid density" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--plates", ",", "--plates: empty plate kind in ','"),
+        ("--plates", "hwp,xwp", "--plates: unknown plate kind(s) ['xwp']"),
+        ("--plates", ",".join(["hwp"] * 9), "--plates: plate budget must be in 1..8, got 9"),
+        ("--grid-density", "7", "--grid-density: grid density must be >= 8, got 7"),
+        ("--tol", "0", "--tol: refinement tolerance must be finite and > 0, got 0.0"),
+    ])
+    def test_bad_setting_names_its_flag(self, capsys, flag, value, message):
+        assert main(["synth", "plus->zero", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}")
+        assert captured.out == ""
 
     def test_bad_transition(self, capsys):
         assert main(["synth", "minus-to-zero"]) == 2

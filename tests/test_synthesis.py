@@ -245,7 +245,7 @@ class TestSynthesize:
             raise AssertionError("grid allocated before the density was checked")
 
         monkeypatch.setattr(np, "linspace", no_grid)
-        monkeypatch.setattr(synthesis, "_grid_axes", no_grid)
+        monkeypatch.setattr(synthesis, "_grid", no_grid)
         with pytest.raises(ValueError, match=str(synthesis._MAX_GRID_POINTS)):
             synthesize(minus_to_zero(), 10**9, 1e-8, 0)
 
@@ -525,7 +525,7 @@ def central_differences(problem, assignment, x, h):
 
 def stencil_derivatives(problem, assignment, x):
     """The refinement's gradient and Hessian at x, in the unscaled parameters."""
-    stencil = synthesis._stencil(problem, assignment)
+    stencil = synthesis._stencil(*synthesis._layout(problem, assignment))
     f = synthesis._grid_fidelities(problem, assignment, x[None, :])
     grad, hess, _ = synthesis._derivatives(problem, assignment, stencil, x[None, :], f)
     scale = stencil[0]
@@ -590,7 +590,7 @@ class TestNewtonRefinement:
                 problem, assignment, (0.5 * theta,)) / 16
             t = rng.uniform(0, 2 * PI, 5)
             _, g1, g2, _ = synthesis._envelope(p, np.zeros(len(n)), t)
-            stencil = synthesis._stencil(problem, assignment)
+            stencil = synthesis._stencil(*synthesis._layout(problem, assignment))
             x = 0.5 * t[:, None]
             f = synthesis._grid_fidelities(problem, assignment, x)
             grad, hess, _ = synthesis._derivatives(problem, assignment, stencil, x, f)
@@ -666,8 +666,126 @@ class TestNewtonRefinement:
                 problem = SynthesisProblem(trit_basis(inp), trit_basis(target), 2, (PI,), retune)
                 seen.clear()
                 synthesis._search(problem, (PI, PI), density, 1e-8, None)
-                points = np.stack(np.meshgrid(*synthesis._grid_axes(problem, (PI, PI), density),
-                                              indexing="ij"), axis=-1).reshape(-1, 2 + retune)
+                axes = [np.linspace(0, p, density, endpoint=False)
+                        for p in synthesis._layout(problem, (PI, PI))[0]]
+                points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2 + retune)
                 values = synthesis._grid_fidelities(problem, (PI, PI), points)
                 starts = reference_starts(problem, (PI, PI), points, values)
                 assert np.array_equal(seen[0], points[starts])
+
+
+# (transition, budget, retardances, retune phase, grid density) -> plates as
+# (retardance, angle) in float.hex, source phase, fidelity, evaluations, bound.
+# Values that no rounding snaps (the free plates') follow numpy's SIMD exp and
+# sin, so a numpy build with other kernels may move their last bits.
+GOLDEN = [
+    (("minus", "zero", 1, (PI,), False, 24),
+     ([("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-2")], None,
+      "0x1.0000000000000p+0", 16, "0x1.fffffffffffffp-1")),
+    (("plus", "zero", 1, (PI / 2,), False, 24),
+     ([("0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1")], None,
+      "0x1.0000000000000p+0", 16, "0x1.fffffffffffffp-1")),
+    (("minus", "plus", 1, (PI,), True, 24),
+     ([("0x1.921fb54442d18p+1", "0x0.0p+0")], "0x0.0p+0",
+      "0x1.0000000000000p+0", 64, "0x1.ffffffffffffep-1")),
+    (("plus", "minus", 2, (PI, PI / 2), False, 16),
+     ([("0x1.921fb54442d18p+1", "0x0.0p+0"), ("0x1.921fb54442d18p+0", "0x0.0p+0")], None,
+      "0x1.0000000000000p+0", 776, "0x1.ffffffffffffep-1")),
+    (("minus", "zero", 2, (PI, PI / 2), False, 16),
+     ([("0x1.921fb54442d18p+1", "0x0.0p+0"), ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-2")],
+      None, "0x1.0000000000000p+0", 388, "0x1.fffffffffffffp-1")),
+    (("zero", "plus", 2, (PI, PI / 2), False, 16),
+     ([("0x1.921fb54442d18p+1", "0x0.0p+0"), ("0x1.921fb54442d18p+0", "0x1.921fb54442d18p-1")],
+      None, "0x1.0000000000000p+0", 776, "0x1.fffffffffffffp-1")),
+    (("zero", 0, 2, (PI, PI / 2), False, 24),
+     ([("0x1.921fb54442d18p+1", "0x0.0p+0"), ("0x1.921fb54442d18p+1", "0x1.921fb54442d18p-2")],
+      None, "0x1.0000000000001p-1", 708, "0x1.0000000000000p-1")),
+    (("plus", "minus", 2, (synthesis.FREE,), True, 9),
+     ([("0x1.6495ce4cb926ap+2", "0x1.64954d9b4c725p-1"),
+       ("0x1.37200c42f75bdp+2", "0x1.0cb44ebd98b3ep+1")], "0x1.0daaff0be9f19p+2",
+      "0x1.0000000000000p+0", 61145, "0x1.ffffffffffffep-1")),
+]
+
+
+class TestGolden:
+    """Exact outputs of `synthesize` on the README transitions, one hwp/qwp
+    trit cycle, an unreachable Fock target and a two-free-plate problem."""
+
+    @pytest.mark.parametrize("case, expected", GOLDEN, ids=[
+        "{}->{} {}x{}".format(c[0], c[1], c[2], len(c[3])) for c, _ in GOLDEN])
+    def test_exact_outputs(self, case, expected):
+        source, target, budget, retardances, retune, density = case
+        target = qutrit.fock_basis(target) if isinstance(target, int) else trit_basis(target)
+        problem = SynthesisProblem(trit_basis(source), target, budget, retardances, retune)
+        result = synthesize(problem, density, 1e-8, 0)
+        phase = None if result.source_phase is None else result.source_phase.hex()
+        assert ([(p.retardance.hex(), p.angle.hex()) for p in result.plates], phase,
+                result.fidelity.hex(), result.evaluations,
+                result.fidelity_bound.hex()) == expected
+
+
+def _cached_arrays():
+    """Every array of the cached tables, after a run that fills each cache."""
+    synthesize(minus_to_plus_free_phase())
+    synthesize(SynthesisProblem(trit_basis("plus"), trit_basis("zero"), 2, (PI, PI / 2)), 8)
+    n, weights, chi, chi_phase, dft, grid, basis = synthesis._series_tables()
+    arrays = [n, *weights[1:], chi, *chi_phase, dft, grid, basis]
+    arrays += list(synthesis._stencil(*synthesis._layout(minus_to_zero(), (PI, PI / 2))))
+    arrays.append(synthesis._grid((PI, PI), 8))
+    return arrays
+
+
+class TestTables:
+    # two plates with a free retardance, and with the phase: same periods,
+    # different degrees
+    LAYOUTS = [((PI,), (4,)), ((PI, PI), (4, 4)), ((PI, PI, 2 * PI), (4, 4, 2)),
+               ((PI, PI, 2 * PI), (4, 4, 1)), ((PI, PI, 2 * PI, 2 * PI, 2 * PI), (4, 4, 2, 2, 1))]
+
+    @pytest.mark.parametrize("periods, degrees", LAYOUTS)
+    def test_cached_stencil_equals_fresh_build(self, periods, degrees):
+        cached = synthesis._stencil(periods, degrees)
+        assert synthesis._stencil(periods, degrees) is cached
+        fresh = synthesis._stencil.__wrapped__(periods, degrees)
+        assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+
+    @pytest.mark.parametrize("periods, density", [((PI, PI), 16), ((PI, 2 * PI), 9),
+                                                  ((PI, PI, 2 * PI), 8)])
+    def test_cached_grid_equals_fresh_build(self, periods, density):
+        cached = synthesis._grid(periods, density)
+        assert synthesis._grid(periods, density) is cached
+        axes = [np.linspace(0.0, p, density, endpoint=False) for p in periods]
+        fresh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(periods))
+        assert np.array_equal(cached, fresh)
+
+    def test_cached_arrays_are_read_only(self):
+        arrays = _cached_arrays()
+        assert len(arrays) == 14
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[(0,) * a.ndim] = 1
+
+    def test_envelope_basis_is_bit_identical(self):
+        grid, basis = synthesis._series_tables()[5:]
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            p, q = ([1, 1j] @ rng.normal(size=(2, 9)) for _ in range(2))
+            p = p + p[::-1].conj()  # a real series P
+            with_basis = synthesis._envelope(p, q, grid, basis)
+            without = synthesis._envelope(p, q, grid)
+            assert all(np.array_equal(a, b) for a, b in zip(with_basis, without))
+
+    def test_patched_grid_limit_leaves_no_stale_entry(self, monkeypatch):
+        # the grid-or-random choice is made outside the cache, so a patched
+        # limit neither caches random points nor changes what later runs see
+        problem = SynthesisProblem(trit_basis("plus"), trit_basis("zero"), 2, (PI, PI / 2))
+        synthesis._grid.cache_clear()
+        fresh = synthesize(problem, 16, 1e-8, 0)
+        monkeypatch.setattr(synthesis, "_MAX_GRID_POINTS", 100)
+        synthesis._grid.cache_clear()
+        patched = synthesize(problem, 16, 1e-8, 0)
+        assert synthesis._grid.cache_info().currsize == 0
+        assert patched.evaluations != fresh.evaluations
+        monkeypatch.undo()
+        assert synthesize(problem, 16, 1e-8, 0) == fresh
+        assert np.array_equal(synthesis._grid((PI, PI), 16),
+                              synthesis._grid.__wrapped__((PI, PI), 16))
