@@ -6,24 +6,29 @@ synthesis for trit transitions), info (version and conventions).
 
 Exit codes: 0 success, 1 verification failure, 2 usage/config error,
 3 I/O error.
+
+Importing this module loads neither numpy nor the computing modules: each
+`cmd_*` imports what it runs on first use, so `info` starts without numpy and
+`stokes` without `experiment`, `synthesis`, `io` or `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import re
 import sys
 
-import numpy as np
-
-from . import __version__, io, observables, qutrit, synthesis, verify
+from . import __version__
+from .conventions import ANALYSIS_CHOICES, FREE, TRIT_DIGITS
 from .errors import ConfigError
-from .experiment import ANALYSIS_CHOICES, SourceSpec, simulate_counts, source_state, sweep
-from .optics import PlateSpec
-from .qutrit import TRIT_DIGITS
 
 _ANGLE_RE = re.compile(r"^([+-]?[\d.]*)\s*pi\s*(?:/\s*([\d.]+))?$")
+# An argument word that starts with '-' and reads as a value, not an option:
+# a number ('-2', '-.5', '-1e-3', amplitudes '-0.5,0.5,0.7') or a 'pi' form
+# ('-pi/2').  argparse before 3.13 takes only a lone negative number so.
+_NEGATIVE_VALUE_RE = re.compile(r"-(?:\.?\d|pi)", re.IGNORECASE)
 
 
 def parse_angle(text: str, degrees: bool = False) -> float:
@@ -35,13 +40,13 @@ def parse_angle(text: str, degrees: bool = False) -> float:
         if match:
             num, den = match.groups()
             coeff = float(num) if num not in ("", "+", "-") else float(num + "1")
-            value = coeff * np.pi / (float(den) if den else 1.0)
+            value = coeff * math.pi / (float(den) if den else 1.0)
         else:
             value = float(text)
-            value = np.deg2rad(value) if degrees else value
+            value = math.radians(value) if degrees else value
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"cannot parse angle {text!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ConfigError(f"angle must be finite, got {text!r}")
     return value
 
@@ -63,10 +68,15 @@ def _flag_angle(flag: str, text: str, degrees: bool, parse=parse_angle):
 
 def _echo_config(cfg) -> None:
     import yaml
+
+    from . import io
+
     print(yaml.safe_dump({"resolved_config": io.config_to_mapping(cfg)}, sort_keys=False), end="")
 
 
 def _parse_retardance_flag(text: str, degrees: bool):
+    from . import io
+
     name = text.strip().lower()
     return name if name in io.RETARDANCE_NAMES else parse_angle(name, degrees)
 
@@ -92,6 +102,8 @@ _OVERRIDES = (
 
 def _apply_overrides(cfg, args):
     """Set the given flags on `cfg`'s mapping and validate it once, as a config file."""
+    from . import io
+
     mapping = io.config_to_mapping(cfg)
     for flag, section, field, parse, _ in _OVERRIDES:
         value = getattr(args, flag[2:].replace("-", "_"))
@@ -108,6 +120,8 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_checks(args.grid, args.samples, args.seed)
     print(f"triphot verify: grid {args.grid}x{args.grid}, {args.samples} samples, seed {args.seed}")
     for res in results:
@@ -121,9 +135,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import io
+    from .experiment import sweep
+
     cfg = _apply_overrides(io.load_config(args.config), args)
     start = _flag_angle("--start", args.start, args.deg) if args.start is not None else 0.0
-    full_range = 2.0 * np.pi if args.param == "phi" else np.pi
+    full_range = 2.0 * math.pi if args.param == "phi" else math.pi
     stop = _flag_angle("--stop", args.stop, args.deg) if args.stop is not None else full_range
     table = sweep(cfg, args.param, start, stop, args.steps)
     _echo_config(cfg)
@@ -137,6 +154,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_mc(args) -> int:
+    from . import io
+    from .experiment import simulate_counts
+
     cfg = _apply_overrides(io.load_config(args.config), args)
     table = simulate_counts(cfg, args.seed, args.duration, args.bin)
     _echo_config(cfg)
@@ -162,9 +182,11 @@ def _trit_label(text: str) -> str | None:
     return label if label in TRIT_DIGITS else None
 
 
-def parse_state(text: str) -> np.ndarray:
-    """State spec: trit label ('psi_plus', 'minus', ...), Fock pair 'Nx,Ny',
-    or three comma-separated complex amplitudes (normalized automatically)."""
+def parse_state(text: str):
+    """State vector of a spec: trit label ('psi_plus', 'minus', ...), Fock pair
+    'Nx,Ny', or three comma-separated complex amplitudes (normalized automatically)."""
+    from . import qutrit
+
     text = text.strip()
     parts = [p.strip() for p in text.split(",")]
     if len(parts) == 1:
@@ -193,6 +215,8 @@ def parse_state(text: str) -> np.ndarray:
 
 
 def cmd_stokes(args) -> int:
+    from . import observables
+
     state = parse_state(args.state)
     vec = observables.stokes(state)
     corr = observables.correlators(state)
@@ -204,18 +228,21 @@ def cmd_stokes(args) -> int:
     return 0
 
 
-_PLATE_NAMES = {"hwp": np.pi, "qwp": np.pi / 2, "free": synthesis.FREE}
+_PLATE_NAMES = {"hwp": math.pi, "qwp": math.pi / 2, "free": FREE}
 
 
 def _plate_name(retardance: float) -> str:
-    if abs(retardance - np.pi) < 1e-12:
+    if abs(retardance - math.pi) < 1e-12:
         return "half-wave"
-    if abs(retardance - np.pi / 2) < 1e-12:
+    if abs(retardance - math.pi / 2) < 1e-12:
         return "quarter-wave"
     return f"retardance {retardance:.9g} rad"
 
 
 def cmd_synth(args) -> int:
+    from . import qutrit, synthesis
+    from .experiment import SourceSpec, source_state
+
     parts = re.split(r"->|→", args.transition)
     if len(parts) != 2:
         raise ConfigError(
@@ -322,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_mc)
 
     p = sub.add_parser("stokes", help="print Stokes parameters, P and correlators of a state")
-    # a leading '-' then a digit starts amplitudes, as in '-0.5,0.5,0.7', not an
-    # option (argparse before 3.13 takes only a lone negative number so)
-    p._negative_number_matcher = re.compile(r"-\.?\d")
     p.add_argument("state", help="trit label, 'Nx,Ny' Fock pair, or three complex amplitudes")
     p.set_defaults(func=cmd_stokes)
 
@@ -357,6 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("info", help="print version and conventions")
     p.set_defaults(func=cmd_info)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _NEGATIVE_VALUE_RE
     return parser
 
 

@@ -23,10 +23,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import optics, qutrit
+from .conventions import ANALYSIS_CHOICES
 from .errors import DegenerateTableError
 from .optics import PlateSpec
-
-ANALYSIS_CHOICES = ("none", "x", "y")
 
 # Largest bin count `simulate_counts` accepts: a million bins are two 8 MB
 # columns, and `triphot mc` writing them as CSV peaks at about 175 MB RSS.

@@ -36,7 +36,10 @@ class CorrelatorSet(NamedTuple):
 
 
 def stokes(s: np.ndarray) -> StokesVector:
-    """Stokes parameters of a normalized pair state (photon-number units)."""
+    """Stokes parameters of a normalized pair state (photon-number units), or
+    arrays of them over a [..., 3] numpy stack of states."""
+    if getattr(s, "ndim", 1) > 1:
+        return _stack_stokes(s)
     c1, c2, c3 = qutrit.require_normalized(s)
     cross = np.conj(c1) * c2 + np.conj(c2) * c3
     return StokesVector(
@@ -47,9 +50,34 @@ def stokes(s: np.ndarray) -> StokesVector:
     )
 
 
-def degree_of_polarization(s: np.ndarray) -> float:
-    """P = |(s1, s2, s3)| / s0, in [0, 1]."""
+def _stack_stokes(s: np.ndarray) -> StokesVector:
+    """`stokes` of each state of a [..., 3] stack, after one norm check for
+    all of them.  Each value is bit-identical to the one-state call: numpy's
+    array abs and complex product round otherwise, so this takes abs as
+    hypot, squares as pow and the complex products in real arithmetic."""
+    s = np.asarray(s, dtype=complex)
+    if s.shape[-1] != 3:
+        raise ValueError(f"states must be a [..., 3] stack, got shape {s.shape}")
+    weights = np.float_power(np.hypot(s.real, s.imag), 2)
+    if not np.all(abs(weights.sum(axis=-1) - 1.0) <= 1e-10):
+        raise ValueError("state is not normalized")
+    (x1, x2, x3), (y1, y2, y3) = np.moveaxis(s.real, -1, 0), np.moveaxis(s.imag, -1, 0)
+    cross_real = (x1 * x2 + y1 * y2) + (x2 * x3 + y2 * y3)  # conj(c1) c2 + conj(c2) c3
+    cross_imag = (x1 * y2 - y1 * x2) + (x2 * y3 - y2 * x3)
+    return StokesVector(
+        s0=2.0,
+        s1=2.0 * (weights[..., 0] - weights[..., 2]),
+        s2=2.0 * _SQRT2 * cross_real,
+        s3=2.0 * _SQRT2 * cross_imag,
+    )
+
+
+def degree_of_polarization(s: np.ndarray) -> float | np.ndarray:
+    """P = |(s1, s2, s3)| / s0, in [0, 1]; an array of them for a [..., 3]
+    stack, each bit-identical to the one-state call."""
     v = stokes(s)
+    if getattr(s, "ndim", 1) > 1:
+        return np.sqrt(sum(np.float_power(x, 2) for x in v[1:])) / v.s0
     return float(np.sqrt(v.s1**2 + v.s2**2 + v.s3**2) / v.s0)
 
 

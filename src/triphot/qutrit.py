@@ -14,7 +14,7 @@ polarized photons:
     psi_zero  = |1,1>                     one x and one y photon
 
 Ternary digits are assigned as plus -> 0, minus -> 1, zero -> 2; the mapping
-is fixed for the whole package.
+(`TRIT_DIGITS`, defined in `conventions`) is fixed for the whole package.
 
 Global phase carries no physics.  States keep their concrete phase so linear
 algebra stays exact; use `fidelity`/`states_equal` for phase-blind comparison.
@@ -26,13 +26,11 @@ import math
 
 import numpy as np
 
+from .conventions import TRIT_DIGITS, TRIT_LABELS  # noqa: F401  (TRIT_DIGITS re-exported)
 from .errors import ZeroStateError
 
 NORM_TOL = 1e-12
 _ZERO_NORM_SQ = 1e-30
-
-TRIT_LABELS = ("plus", "minus", "zero")
-TRIT_DIGITS = {"plus": 0, "minus": 1, "zero": 2}
 
 _SQRT2 = np.sqrt(2.0)
 

@@ -42,10 +42,10 @@ from itertools import combinations, product
 import numpy as np
 
 from . import observables, optics, qutrit
+from .conventions import FREE
 from .experiment import SourceSpec, check_seed, source_state
 from .optics import PlateSpec
 
-FREE = "free"
 REACHABLE_THRESHOLD = 1.0 - 1e-6
 _MAX_GRID_POINTS = 200_000
 _TWO_PI = 2.0 * math.pi

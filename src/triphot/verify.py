@@ -115,7 +115,7 @@ def check_p_invariance(samples: int = 1000, seed: int = 2024) -> CheckResult:
     states = z / np.linalg.norm(z, axis=-1, keepdims=True)
     moved = (optics.lift(haar_unitaries(rng, samples)) @ states[..., np.newaxis])[..., 0]
     p = observables.degree_of_polarization
-    residual = max(abs(p(after) - p(before)) for before, after in zip(states, moved))
+    residual = float(np.max(abs(p(moved) - p(states))))
     return CheckResult("polarization-degree invariance under plates", residual, 1e-10)
 
 

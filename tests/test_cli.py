@@ -152,7 +152,6 @@ def yaml_modules():
 loaded, yaml_loaded = {}, {}
 import triphot.cli
 loaded["import triphot.cli"] = scipy_modules()
-with_cli = sorted(m for m in ("triphot.synthesis", "triphot.verify") if m in sys.modules)
 import triphot
 loaded["import triphot"] = scipy_modules()
 rc = triphot.cli.main(["verify", "--grid", "11", "--samples", "20"])
@@ -173,18 +172,31 @@ for name, budget, retardances in [
     problem = triphot.SynthesisProblem(minus, zero, budget, retardances)
     triphot.synthesize(problem, grid_density=8)
     loaded[name] = scipy_modules()
-print(json.dumps({"rc": rc, "loaded": loaded, "yaml_loaded": yaml_loaded, "with_cli": with_cli}))
+print(json.dumps({"rc": rc, "loaded": loaded, "yaml_loaded": yaml_loaded}))
 """
+
+# Runs one command in a fresh interpreter and reports numpy and the package's
+# modules it loaded.
+_MODULES_PROBE = """
+import json, sys
+import triphot.cli
+rc = triphot.cli.main(sys.argv[1:])
+print(json.dumps({"rc": rc, "loaded": [m for m in sys.modules if m == "numpy" or m.startswith("triphot")]}))
+"""
+
+
+def _run_probe(code, *argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(triphot.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, check=True
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 class TestLazyImports:
     def test_cli_and_verify_load_no_scipy(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(triphot.__file__)))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_PROBE], capture_output=True, text=True, env=env, check=True
-        )
-        report = json.loads(proc.stdout.splitlines()[-1])
+        report = _run_probe(_SCIPY_PROBE)
         assert report["rc"] == 0
         stages = ["import triphot.cli", "import triphot", "verify", "one plate", "two plates",
                   "free plate", "five plates"]
@@ -192,8 +204,37 @@ class TestLazyImports:
         # PyYAML loads only where a YAML file is read or written
         assert {cmd.split()[0] for cmd in report["yaml_loaded"]} == {"info", "stokes", "synth", "verify"}
         assert all(modules == [] for modules in report["yaml_loaded"].values())
-        # the CLI loads synthesis and verify up front
-        assert report["with_cli"] == ["triphot.synthesis", "triphot.verify"]
+
+    @pytest.mark.parametrize(
+        "argv,runs,skips",
+        [
+            (["info"], [], ["numpy", "triphot.qutrit"]),
+            (["stokes", "plus"], ["triphot.observables"],
+             ["triphot.experiment", "triphot.synthesis", "triphot.io", "triphot.verify"]),
+            (["synth", "minus->zero"], ["triphot.synthesis"], ["triphot.io", "triphot.verify"]),
+            (["verify", "--grid", "11", "--samples", "20"], ["triphot.verify"],
+             ["triphot.synthesis", "triphot.io"]),
+        ],
+        ids=["info", "stokes", "synth", "verify"],
+    )
+    def test_each_command_loads_only_what_it_runs(self, argv, runs, skips):
+        report = _run_probe(_MODULES_PROBE, *argv)
+        assert report["rc"] == 0
+        assert [m for m in runs if m not in report["loaded"]] == []
+        assert [m for m in skips if m in report["loaded"]] == []
+
+    def test_package_names_resolve_on_first_use(self):
+        code = (
+            "import json, sys, triphot\n"
+            "before = sorted(m for m in sys.modules if m == 'numpy' or m.startswith('triphot'))\n"
+            "sweep = triphot.sweep\n"
+            "print(json.dumps({'before': before, 'after': 'triphot.synthesis' in sys.modules,\n"
+            "                  'same': sweep is sys.modules['triphot.experiment'].sweep,\n"
+            "                  'module': triphot.optics is sys.modules['triphot.optics']}))\n"
+        )
+        report = _run_probe(code)
+        assert report == {"before": ["triphot", "triphot.errors"], "after": False,
+                          "same": True, "module": True}
 
     def test_package_source_imports_no_scipy(self):
         # scipy is a test dependency only; a docstring may still name it
@@ -644,6 +685,40 @@ class TestSynthCommand:
         assert "reachability: reachable" in out
         evaluations = int(out.split("objective evaluations: ")[1])
         assert evaluations < 2 * synthesis._MAX_GRID_POINTS
+
+
+class TestNegativeValues:
+    """A flag value or argument that starts with '-' but reads as a number or
+    'pi' form is a value, as it is after '='."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["synth", "minus->zero", "--phi", "-pi"],  # angle, 'pi' form
+            ["synth", "minus->zero", "--deg", "--phi", "-180"],  # angle, degrees
+            ["sweep", "CFG", "--param", "phi", "--steps", "5", "--start", "-pi/2"],
+            ["sweep", "CFG", "--param", "chi", "--steps", "5", "--stop", "-3PI/8"],
+            ["sweep", "CFG", "--param", "phi", "--steps", "5", "--chi", "-pi/8"],  # override angle
+            ["mc", "CFG", "--duration", "3", "--phi", "-pi"],
+            ["sweep", "CFG", "--param", "phi", "--steps", "5", "--retardance", "-pi/2"],
+            ["sweep", "CFG", "--param", "phi", "--steps", "5", "--eta1", "-1e-3"],  # float
+        ],
+        ids=lambda argv: " ".join(argv[i] for i in (0, -2, -1)),
+    )
+    def test_value_reads_as_after_equals(self, fig2_config, tmp_path, capsys, argv):
+        # the last two words are the flag and its value
+        out_path = tmp_path / "out.csv"
+        head = [fig2_config if a == "CFG" else a for a in argv[:-2]]
+        if head[0] in ("sweep", "mc"):
+            head += ["-o", str(out_path)]
+        flag, value = argv[-2:]
+        results = []
+        for words in (head + [flag, value], head + [f"{flag}={value}"]):
+            rc = main(words)
+            results.append((rc, capsys.readouterr(), out_path.read_bytes() if out_path.exists() else None))
+            out_path.unlink(missing_ok=True)
+        assert results[0] == results[1]
+        assert "expected one argument" not in results[0][1].err
 
 
 class TestInfoCommand:

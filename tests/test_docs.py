@@ -1,7 +1,7 @@
-"""The README's library example runs as written, and the package exports what
-it imports."""
+"""The README's library example runs as written, and the package exports each
+public name from the module that defines it."""
 
-import ast
+import importlib
 from pathlib import Path
 
 import triphot
@@ -24,12 +24,15 @@ def test_readme_quick_start_prints_its_comments(capsys):
 
 
 def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse((ROOT / "src" / "triphot" / "__init__.py").read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert len(triphot.__all__) == len(set(triphot.__all__))
-    assert set(triphot.__all__) == imported | {"__version__"}
+    # each public name is listed once, under the module that defines it, and
+    # resolves from the package to that module's own object
+    names = [name for module_names in triphot._EXPORTS.values() for name in module_names]
+    assert len(names) == len(set(names))
+    assert triphot.__all__ == ["__version__", *names]
+    for module_name, module_names in triphot._EXPORTS.items():
+        module = importlib.import_module(f"triphot.{module_name}")
+        assert getattr(triphot, module_name) is module
+        for name in module_names:
+            assert getattr(triphot, name) is getattr(module, name), name
+            assert getattr(module, name).__module__ == module.__name__, name
+    assert set(triphot.__all__) <= set(dir(triphot))

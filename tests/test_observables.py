@@ -116,6 +116,33 @@ class TestDegreeOfPolarization:
         assert abs(after - before) > 0.1
 
 
+class TestStacks:
+    def test_stack_bit_identical_to_one_state_calls(self):
+        # includes Fock and trit states, whose weights hit exact squares
+        rng = np.random.default_rng(11)
+        states = [random_state(rng) for _ in range(2998)]
+        states += [qutrit.fock_basis(0), qutrit.trit_basis("minus")]
+        stack = np.array(states).reshape(2, 1500, 3)
+        vec = observables.stokes(stack)
+        p = observables.degree_of_polarization(stack)
+        assert p.shape == vec.s1.shape == (2, 1500)
+        one = [observables.stokes(s) for s in states]
+        for k in (1, 2, 3):
+            assert np.array_equal(vec[k].ravel(), [v[k] for v in one])
+        assert np.array_equal(p.ravel(), [observables.degree_of_polarization(s) for s in states])
+
+    def test_scalar_call_returns_floats(self):
+        assert type(observables.degree_of_polarization(qutrit.fock_basis(2))) is float
+
+    def test_one_unnormalized_state_rejects_the_stack(self):
+        stack = np.array([qutrit.fock_basis(k) for k in range(3)])
+        stack[1] *= 1.0 + 1e-8
+        with pytest.raises(ValueError, match="not normalized"):
+            observables.degree_of_polarization(stack)
+        with pytest.raises(ValueError, match=r"\[\.\.\., 3\] stack"):
+            observables.stokes(np.zeros((4, 2), dtype=complex))
+
+
 class TestCorrelators:
     def test_psi_zero(self):
         assert np.allclose(observables.correlators(qutrit.trit_basis("zero")), (1, 0, 0), atol=1e-12)
