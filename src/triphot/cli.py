@@ -21,7 +21,7 @@ import re
 import sys
 
 from . import __version__
-from .conventions import ANALYSIS_CHOICES, FREE, TRIT_DIGITS
+from .conventions import ANALYSIS_CHOICES, FREE, RETARDANCE_NAMES, TRIT_DIGITS
 from .errors import ConfigError
 
 _ANGLE_RE = re.compile(r"^([+-]?[\d.]*)\s*pi\s*(?:/\s*([\d.]+))?$")
@@ -75,10 +75,8 @@ def _echo_config(cfg) -> None:
 
 
 def _parse_retardance_flag(text: str, degrees: bool):
-    from . import io
-
     name = text.strip().lower()
-    return name if name in io.RETARDANCE_NAMES else parse_angle(name, degrees)
+    return name if name in RETARDANCE_NAMES else parse_angle(name, degrees)
 
 
 # The `sweep`/`mc` override flags: (flag, config section or None for the top
@@ -228,14 +226,13 @@ def cmd_stokes(args) -> int:
     return 0
 
 
-_PLATE_NAMES = {"hwp": math.pi, "qwp": math.pi / 2, "free": FREE}
+_PLATE_NAMES = {"hwp": RETARDANCE_NAMES["half"], "qwp": RETARDANCE_NAMES["quarter"], "free": FREE}
 
 
 def _plate_name(retardance: float) -> str:
-    if abs(retardance - math.pi) < 1e-12:
-        return "half-wave"
-    if abs(retardance - math.pi / 2) < 1e-12:
-        return "quarter-wave"
+    for name, value in RETARDANCE_NAMES.items():
+        if abs(retardance - value) < 1e-12:
+            return f"{name}-wave"
     return f"retardance {retardance:.9g} rad"
 
 
@@ -281,7 +278,7 @@ def cmd_synth(args) -> int:
                 f"'{source}' (expected phi = 0 for plus, pi for minus)"
             )
     if optimize_phase and source == "zero":
-        raise ConfigError("source-phase optimization needs a plus or minus input")
+        raise ConfigError("--phi free: source-phase optimization needs a plus or minus input")
 
     with _flag_errors("--plates"):  # the states are valid: only the plate count can fail
         problem = synthesis.SynthesisProblem(

@@ -23,7 +23,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import optics, qutrit
-from .conventions import ANALYSIS_CHOICES
+from .conventions import ANALYSIS_CHOICES, ANALYSIS_HWP_ANGLE
 from .errors import DegenerateTableError
 from .optics import PlateSpec
 
@@ -72,8 +72,9 @@ class SourceSpec:
             t = getattr(self, name)
             if not (0.0 <= t <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {t!r}")
-        if self.t20 == 0.0 and self.t02 == 0.0:
-            raise ValueError("t20 and t02 cannot both be zero")
+        # `predict_rate` divides by hypot(t20, t02), which overflows below the normal range
+        if math.hypot(self.t20, self.t02) < np.finfo(float).tiny:
+            raise ValueError("t20 and t02 cannot both be zero or subnormal")
         if not (0.0 <= self.phase_jitter < math.inf):
             raise ValueError(f"phase_jitter must be finite and >= 0, got {self.phase_jitter!r}")
         if not (0.0 < self.pair_rate < math.inf):
@@ -107,10 +108,6 @@ class ExperimentConfig:
         # bounds every predicted rate; a Python float overflows to inf unwarned
         if self.source.pair_rate * self.eta1 * self.eta2 + self.accidental_rate == math.inf:
             raise ValueError("source.pair_rate * eta1 * eta2 + accidental_rate overflows a float")
-
-    @property
-    def mode(self) -> str:
-        return {"none": "direct_xy", "x": "analysis_x", "y": "analysis_y"}[self.analysis]
 
 
 @dataclass(frozen=True)
@@ -184,11 +181,9 @@ class CountTable:
         )
 
 
-def source_state(src: SourceSpec, jitter_draw: float = 0.0) -> np.ndarray:
-    """Pair state leaving the interferometer for one jitter realization."""
-    return qutrit.make_state(
-        src.t20, 0.0, src.t02 * np.exp(1j * (src.phase + jitter_draw))
-    )
+def source_state(src: SourceSpec) -> np.ndarray:
+    """Pair state leaving the interferometer at the source phase, without jitter."""
+    return qutrit.make_state(src.t20, 0.0, src.t02 * np.exp(1j * src.phase))
 
 
 def hwp_law(chi: float, phi: float):
@@ -229,7 +224,7 @@ def predict_rate(
     phase = cfg.source.phase if phi is None else phi
     jones = optics.retarder(plate.retardance, plate.angle)
     if cfg.analysis != "none":
-        jones = optics.half_wave(np.pi / 8) @ optics.polarizer(cfg.analysis) @ jones
+        jones = optics.half_wave(ANALYSIS_HWP_ANGLE) @ optics.polarizer(cfg.analysis) @ jones
     k = optics.lift(jones)
     src = cfg.source
     norm = math.hypot(src.t20, src.t02)
@@ -249,10 +244,17 @@ def sweep(cfg: ExperimentConfig, parameter: str, start: float, stop: float, step
     if parameter not in ("phi", "chi"):
         raise ValueError(f"parameter must be 'phi' or 'chi', got {parameter!r}")
     if not (2 <= steps <= MAX_STEPS):
-        raise ValueError(f"steps must be in 2..{MAX_STEPS}, got {steps}")
+        raise ValueError(f"steps must be in 2..{MAX_STEPS} (--steps), got {steps}")
     if not stop > start:
-        raise ValueError("stop must exceed start")
+        raise ValueError("stop must exceed start (--start, --stop)")
+    # in Python floats, which overflow to inf where numpy would warn
+    if not math.isfinite(float(stop) - float(start)):
+        raise ValueError(f"span from {start!r} to {stop!r} overflows a float (--start, --stop)")
     values = np.linspace(start, stop, steps)
+    if not np.all(values[1:] > values[:-1]):
+        raise ValueError(
+            f"{steps} steps from {start!r} to {stop!r} repeat a value (--steps, --start, --stop)"
+        )
     if parameter == "phi":
         rates = np.array([predict_rate(cfg, phi=v) for v in values])
     else:
@@ -275,19 +277,20 @@ def simulate_counts(
     Returns a CountTable whose bin i starts at i * bin_width.
     """
     if not (math.isfinite(duration) and math.isfinite(bin_width)):
-        raise ValueError("duration and bin_width must be finite")
+        raise ValueError("duration and bin_width must be finite (--duration, --bin)")
     if duration <= 0.0 or bin_width <= 0.0:
-        raise ValueError("duration and bin_width must be positive")
+        raise ValueError("duration and bin_width must be positive (--duration, --bin)")
     bins = duration / bin_width + 1e-9
     # floor(bins) > MAX_BINS, written so that an infinite quotient is caught
     # before flooring
     if bins >= MAX_BINS + 1:
         raise ValueError(
-            f"duration {duration!r} s in bins of {bin_width!r} s exceeds {MAX_BINS} bins"
+            f"duration {duration!r} s in bins of {bin_width!r} s exceeds {MAX_BINS} bins "
+            "(--duration, --bin)"
         )
     n_bins = math.floor(bins)
     if n_bins < 1:
-        raise ValueError("duration shorter than one bin")
+        raise ValueError("duration shorter than one bin (--duration, --bin)")
     check_seed(seed)
     mean = float(predict_rate(cfg)) * bin_width
     if mean > POISSON_MEAN_MAX:

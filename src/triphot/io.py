@@ -10,8 +10,8 @@ PyYAML loads only where a YAML file is read or written.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
-import math
 import os
 import re
 import tempfile
@@ -19,22 +19,27 @@ import typing
 
 import numpy as np
 
+from .conventions import RETARDANCE_NAMES
 from .errors import ConfigError
 from .experiment import CountTable, ExperimentConfig, SweepTable
 
 CSV_MAGIC = "# triphot v1"
 
-RETARDANCE_NAMES = {"half": math.pi, "quarter": math.pi / 2}
 # A float in YAML 1.2's core schema.  PyYAML resolves YAML 1.1, which leaves
 # `1e3` (no dot) and `1.0e3` (unsigned exponent) as strings.
 _YAML12_FLOAT = r"[-+]?(\.[0-9]+|[0-9]+(\.[0-9]*)?)([eE][-+]?[0-9]+)?"
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write text so that the target never exists half-written."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".triphot-", suffix=".tmp")
+    """Write text so that the target never exists half-written.  An OSError
+    names `path`, as one from a plain open() would, not the temporary file."""
+    if path.endswith(os.sep) or os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(
+            dir=os.path.dirname(os.path.abspath(path)), prefix=".triphot-", suffix=".tmp"
+        )
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
         # mkstemp creates the file 0600; give it the mode a plain open() would.
@@ -42,9 +47,11 @@ def atomic_write_text(path: str, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -160,8 +167,11 @@ def write_counts_csv(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_header(lines: list[str], want_kind: str, columns: str):
-    """Check the metadata and column header; returns (config, run_meta, first row index)."""
+def _read_csv(path: str, want_kind: str, columns: str):
+    """Check a triphot CSV file's metadata and column header; returns (config,
+    run_meta, rows), rows yielding the fields of each non-empty data line."""
+    with open(path) as handle:
+        lines = handle.read().splitlines()
     if not lines or lines[0].strip() != CSV_MAGIC:
         raise ValueError(f"not a triphot file (missing '{CSV_MAGIC}' header)")
     kind = None
@@ -186,18 +196,13 @@ def _read_header(lines: list[str], want_kind: str, columns: str):
         raise ValueError(f"missing column header line {columns!r}")
     if lines[body_start] != columns:
         raise ValueError(f"unexpected column header {lines[body_start]!r}")
-    return config, run_meta, body_start + 1
+    return config, run_meta, (line.split(",") for line in lines[body_start + 1:] if line)
 
 
 def read_sweep_csv(path: str) -> SweepTable:
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    config, _, start = _read_header(lines, "sweep", "param,value,rate")
+    config, _, rows = _read_csv(path, "sweep", "param,value,rate")
     params, values, rates = [], [], []
-    for line in lines[start:]:
-        if not line:
-            continue
-        name, value, rate = line.split(",")
+    for name, value, rate in rows:
         params.append(name)
         values.append(float(value))
         rates.append(float(rate))
@@ -210,14 +215,9 @@ def read_sweep_csv(path: str) -> SweepTable:
 
 def read_counts_csv(path: str) -> tuple[CountTable, ExperimentConfig, dict | None]:
     """Returns (table, config, run_meta)."""
-    with open(path) as handle:
-        lines = handle.read().splitlines()
-    config, run_meta, start = _read_header(lines, "counts", "t_start,coincidences")
+    config, run_meta, rows = _read_csv(path, "counts", "t_start,coincidences")
     t_starts, counts = [], []
-    for line in lines[start:]:
-        if not line:
-            continue
-        t_start, hits = line.split(",")
+    for t_start, hits in rows:
         t_starts.append(float(t_start))
         counts.append(int(hits))
     try:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import optics, qutrit
+from .conventions import ANALYSIS_HWP_ANGLE
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -59,7 +60,7 @@ def _stack_stokes(s: np.ndarray) -> StokesVector:
     if s.shape[-1] != 3:
         raise ValueError(f"states must be a [..., 3] stack, got shape {s.shape}")
     weights = np.float_power(np.hypot(s.real, s.imag), 2)
-    if not np.all(abs(weights.sum(axis=-1) - 1.0) <= 1e-10):
+    if not np.all(abs(weights.sum(axis=-1) - 1.0) <= qutrit.NORM_TOL):
         raise ValueError("state is not normalized")
     (x1, x2, x3), (y1, y2, y3) = np.moveaxis(s.real, -1, 0), np.moveaxis(s.imag, -1, 0)
     cross_real = (x1 * x2 + y1 * y2) + (x2 * x3 + y2 * y3)  # conj(c1) c2 + conj(c2) c3
@@ -93,11 +94,6 @@ def correlators(s: np.ndarray) -> CorrelatorSet:
 
 COINCIDENCE_MODES = ("direct_xy", "analysis_x", "analysis_y")
 
-# The analysis block: a polarizer followed by a half-wave plate rotating the
-# surviving polarization by 45 degrees, so co-polarized pairs split at the
-# final polarizing beamsplitter.
-_ANALYSIS_HWP_ANGLE = np.pi / 8
-
 
 def coincidence_probability(s: np.ndarray, mode: str, eta1: float, eta2: float) -> float:
     """Probability of a coincidence click for one pair reaching the detectors.
@@ -122,7 +118,7 @@ def coincidence_probability(s: np.ndarray, mode: str, eta1: float, eta2: float) 
         survivor, survival = optics.apply_conditioned(proj, s)
         if survivor is None:
             return 0.0
-        rotated = optics.apply(optics.lift(optics.half_wave(_ANALYSIS_HWP_ANGLE)), survivor)
+        rotated = optics.apply(optics.lift(optics.half_wave(ANALYSIS_HWP_ANGLE)), survivor)
         return survival * correlators(rotated).gxy * eta1 * eta2
     raise ValueError(f"mode must be one of {COINCIDENCE_MODES}, got {mode!r}")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .conventions import RETARDANCE_NAMES
 from .errors import NonUnitaryOperatorError
 from . import qutrit
 
@@ -37,11 +38,11 @@ def retarder(delta: float, chi: float) -> np.ndarray:
 
 
 def half_wave(chi: float) -> np.ndarray:
-    return retarder(np.pi, chi)
+    return retarder(RETARDANCE_NAMES["half"], chi)
 
 
 def quarter_wave(chi: float) -> np.ndarray:
-    return retarder(np.pi / 2, chi)
+    return retarder(RETARDANCE_NAMES["quarter"], chi)
 
 
 def rotator(theta: float) -> np.ndarray:
@@ -84,11 +85,11 @@ class PlateSpec:
 
     @classmethod
     def half(cls, chi: float) -> "PlateSpec":
-        return cls(np.pi, chi)
+        return cls(RETARDANCE_NAMES["half"], chi)
 
     @classmethod
     def quarter(cls, chi: float) -> "PlateSpec":
-        return cls(np.pi / 2, chi)
+        return cls(RETARDANCE_NAMES["quarter"], chi)
 
     def jones(self) -> np.ndarray:
         return retarder(self.retardance, self.angle)
@@ -134,7 +135,7 @@ def is_unitary(g: np.ndarray, tol: float = UNITARY_TOL) -> bool:
     return bool(np.max(np.abs(g.conj().T @ g - np.eye(g.shape[0]))) <= tol)
 
 
-def apply(g: np.ndarray, s: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def apply(g: np.ndarray, s: np.ndarray) -> np.ndarray:
     """Apply a unitary pair operator to a state; renormalizes defensively.
 
     Raises NonUnitaryOperatorError for non-unitary operators; route lossy maps
@@ -142,7 +143,7 @@ def apply(g: np.ndarray, s: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     """
     g = np.asarray(g, dtype=complex)
     s = qutrit.require_normalized(s)
-    if not is_unitary(g, tol):
+    if not is_unitary(g):
         raise NonUnitaryOperatorError(
             "operator is not unitary; use apply_conditioned for lossy maps"
         )
@@ -212,12 +213,12 @@ def phase_aligned_residual(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - (np.conj(gram) / abs(gram)) * b))
 
 
-def is_in_plate_subgroup(g: np.ndarray, tol: float = 1e-9) -> bool:
+def is_in_plate_subgroup(g: np.ndarray) -> bool:
     """Whether a unitary pair operator is the lift of some 2x2 unitary.
 
     Reconstructs a candidate Jones matrix from the quadratic entries of g
     (a = sqrt(g00), b = g01/(sqrt(2) a), ...) and accepts when the lift of the
-    candidate matches g up to a global phase with residual < tol.
+    candidate matches g up to a global phase with residual < 1e-9.
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (3, 3):
@@ -236,4 +237,4 @@ def is_in_plate_subgroup(g: np.ndarray, tol: float = 1e-9) -> bool:
         d = g[1, 2] / (_SQRT2 * b)
         c = (g[1, 1] - a * d) / b
     candidate = np.array([[a, b], [c, d]])
-    return phase_aligned_residual(lift(candidate), g) < tol
+    return phase_aligned_residual(lift(candidate), g) < 1e-9

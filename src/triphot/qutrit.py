@@ -29,7 +29,8 @@ import numpy as np
 from .conventions import TRIT_DIGITS, TRIT_LABELS  # noqa: F401  (TRIT_DIGITS re-exported)
 from .errors import ZeroStateError
 
-NORM_TOL = 1e-12
+# Largest deviation of a squared norm from 1 that a state check accepts.
+NORM_TOL = 1e-10
 _ZERO_NORM_SQ = 1e-30
 
 _SQRT2 = np.sqrt(2.0)
@@ -73,12 +74,12 @@ def trit_basis(label: str) -> np.ndarray:
     raise ValueError(f"unknown trit label {label!r}, expected one of {TRIT_LABELS}")
 
 
-def require_normalized(s: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def require_normalized(s: np.ndarray) -> np.ndarray:
     """Validate that `s` is a unit 3-vector; returns it as a complex array."""
     s = np.asarray(s, dtype=complex)
     if s.shape != (3,):
         raise ValueError(f"state must be a length-3 vector, got shape {s.shape}")
-    if abs(float(np.vdot(s, s).real) - 1.0) > tol:
+    if abs(float(np.vdot(s, s).real) - 1.0) > NORM_TOL:
         raise ValueError("state is not normalized")
     return s
 
@@ -95,7 +96,7 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     return abs(overlap(a, b)) ** 2
 
 
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = NORM_TOL) -> bool:
+def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
     """Phase-blind equality: true when the fidelity deviates from 1 by < tol."""
     return abs(fidelity(a, b) - 1.0) < tol
 

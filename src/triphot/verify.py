@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiment, observables, optics
+from .conventions import RETARDANCE_NAMES
 from .experiment import ExperimentConfig, SourceSpec
 from .optics import PlateSpec
 
@@ -50,36 +51,36 @@ def _symmetric_restriction(j: np.ndarray) -> np.ndarray:
     return basis.T @ kron @ basis
 
 
-def _fock_weight(delta: float, analysis: str, chis, phis: np.ndarray) -> np.ndarray:
-    """One Fock weight behind a plate, read off `predict_rate` on the ideal
-    default source and detectors: |c2|^2 directly, |c1|^2/2 and |c3|^2/2
-    behind the x and y analysis blocks.  Shape (len(chis), len(phis))."""
+def _fock_weight(plate: str, analysis: str, chis, phis: np.ndarray) -> np.ndarray:
+    """One Fock weight behind a 'half' or 'quarter' plate, read off `predict_rate`
+    on the ideal default source and detectors: |c2|^2 directly, |c1|^2/2 and
+    |c3|^2/2 behind the x and y analysis blocks.  Shape (len(chis), len(phis))."""
     scale = 1.0 if analysis == "none" else 2.0
-    cfg = ExperimentConfig(SourceSpec(), PlateSpec(delta, 0.0), analysis)
+    cfg = ExperimentConfig(SourceSpec(), PlateSpec(RETARDANCE_NAMES[plate], 0.0), analysis)
     return np.array([scale * experiment.predict_rate(cfg, phi=phis, chi=chi) for chi in chis])
 
 
-def check_half_wave_grid(grid: int = 101) -> CheckResult:
+def check_half_wave_grid(grid: int) -> CheckResult:
     chis = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid)
     laws = experiment.hwp_law(chis[:, None], phis[None, :])
     residual = max(
-        float(np.max(np.abs(_fock_weight(np.pi, analysis, chis, phis) - law)))
+        float(np.max(np.abs(_fock_weight("half", analysis, chis, phis) - law)))
         for analysis, law in zip(("x", "none", "y"), laws)
     )
     return CheckResult("half-wave closed form grid", residual, 1e-12)
 
 
-def check_quarter_wave_grid(grid: int = 101) -> CheckResult:
+def check_quarter_wave_grid(grid: int) -> CheckResult:
     chis = np.linspace(0.0, np.pi, grid)
     phis = np.linspace(0.0, 2.0 * np.pi, grid)
-    probs = _fock_weight(np.pi / 2, "none", chis, phis)
+    probs = _fock_weight("quarter", "none", chis, phis)
     law = experiment.qwp_law(chis[:, None], phis[None, :])
     return CheckResult("quarter-wave closed form grid", float(np.max(np.abs(probs - law))), 1e-12)
 
 
 def check_quarter_wave_pin() -> CheckResult:
-    pipeline = _fock_weight(np.pi / 2, "none", [QWP_PIN_CHI], np.array([QWP_PIN_PHI]))[0, 0]
+    pipeline = _fock_weight("quarter", "none", [QWP_PIN_CHI], np.array([QWP_PIN_PHI]))[0, 0]
     law = experiment.qwp_law(QWP_PIN_CHI, QWP_PIN_PHI)
     residual = max(abs(pipeline - law), abs(pipeline - QWP_PIN_VALUE))
     return CheckResult("quarter-wave convention pin (chi=pi/8, phi=pi/2)", float(residual), 1e-12)
@@ -95,19 +96,19 @@ def haar_unitaries(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (d / abs(d))[..., np.newaxis, :]
 
 
-def check_lift_oracle(samples: int = 1000, seed: int = 12345) -> CheckResult:
+def check_lift_oracle(samples: int, seed: int) -> CheckResult:
     js = haar_unitaries(np.random.default_rng(seed), samples)
     residual = float(np.max(np.abs(optics.lift(js) - _symmetric_restriction(js))))
     return CheckResult("pair-lift tensor oracle", residual, 1e-12)
 
 
-def check_lift_homomorphism(samples: int = 1000, seed: int = 54321) -> CheckResult:
+def check_lift_homomorphism(samples: int, seed: int) -> CheckResult:
     j1, j2 = haar_unitaries(np.random.default_rng(seed), 2 * samples).reshape(2, samples, 2, 2)
     residual = np.max(np.abs(optics.lift(j2 @ j1) - optics.lift(j2) @ optics.lift(j1)))
     return CheckResult("pair-lift homomorphism", float(residual), 1e-12)
 
 
-def check_p_invariance(samples: int = 1000, seed: int = 2024) -> CheckResult:
+def check_p_invariance(samples: int, seed: int) -> CheckResult:
     """Haar unitaries stand for every lossless plate sequence: any SU(2)
     element is a quarter-, half-, quarter-wave plate triple."""
     rng = np.random.default_rng(seed)

@@ -1,20 +1,23 @@
 """Tests for the command line interface."""
 
 import ast
+import contextlib
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
 
 import math
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import triphot
@@ -406,6 +409,56 @@ class TestSweepCommand:
         assert not out_path.exists()
 
 
+class TestRangeErrorsNameTheirFlags:
+    """Each range error of `sweep` and `mc` names its flags, and a span that
+    overflows fails before numpy warns."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["sweep", "--param", "phi", "--steps", "1"],
+             "steps must be in 2..1000000 (--steps), got 1"),
+            (["sweep", "--param", "phi", "--start", "2", "--stop", "1"],
+             "stop must exceed start (--start, --stop)"),
+            (["sweep", "--param", "phi", "--start", "-1e308", "--stop", "1e308"],
+             "span from -1e+308 to 1e+308 overflows a float (--start, --stop)"),
+            (["sweep", "--param", "chi", "--start", "-1e308", "--stop", "1e308"],
+             "span from -1e+308 to 1e+308 overflows a float (--start, --stop)"),
+            (["sweep", "--param", "phi", "--stop", "5e-324", "--steps", "3"],
+             "3 steps from 0.0 to 5e-324 repeat a value (--steps, --start, --stop)"),
+            (["mc", "--duration", "0"],
+             "duration and bin_width must be positive (--duration, --bin)"),
+            (["mc", "--duration", "5", "--bin", "nan"],
+             "duration and bin_width must be finite (--duration, --bin)"),
+            (["mc", "--duration", "0.5"],
+             "duration shorter than one bin (--duration, --bin)"),
+            (["mc", "--duration", "1e7"],
+             "duration 10000000.0 s in bins of 1.0 s exceeds 1000000 bins (--duration, --bin)"),
+        ],
+    )
+    def test_message(self, fig2_config, tmp_path, capsys, argv, message):
+        out_path = tmp_path / "out.csv"
+        assert main([argv[0], fig2_config, *argv[1:], "-o", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
+
+
+class TestWriteErrorsNameTheOutput:
+    @pytest.mark.parametrize("target", ["missing/out.csv", "outdir", "outdir/"])
+    @pytest.mark.parametrize(
+        "command", [["sweep", "--param", "phi", "--steps", "5"], ["mc", "--duration", "5"]],
+        ids=["sweep", "mc"],
+    )
+    def test_exit_3_names_the_output(self, fig2_config, tmp_path, capsys, command, target):
+        work = tmp_path / "work"
+        (work / "outdir").mkdir(parents=True)
+        path = str(work / target)
+        assert main([command[0], fig2_config, *command[1:], "-o", path]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: [Errno ") and err.endswith(f": {path!r}\n")
+        assert sorted(os.listdir(work)) == ["outdir"] and os.listdir(work / "outdir") == []
+
+
 class TestMcCommand:
     def test_seeded_runs_byte_identical(self, fig2_config, tmp_path):
         p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
@@ -643,6 +696,12 @@ class TestSynthCommand:
         assert captured.err.startswith(f"error: {message}")
         assert captured.out == ""
 
+    def test_free_phase_of_a_zero_input_names_its_flag(self, capsys):
+        assert main(["synth", "zero->plus", "--phi", "free"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --phi free: source-phase optimization needs a plus or minus input\n"
+        )
+
     def test_bad_transition(self, capsys):
         assert main(["synth", "minus-to-zero"]) == 2
         assert main(["synth", "up->down"]) == 2
@@ -833,3 +892,133 @@ class TestParserFuzz:
         except ValueError:
             return
         assert state.shape == (3,)
+
+
+# Words the argv fuzz draws values from: float extremes, exponent and 'pi'
+# forms, and ordinary values.  Hypothesis tries the first of each list
+# first, so the first sweep it runs spans -1e308 to 1e308.
+FUZZ_NUMBERS = ("1e308", "-1e308", "5e-324", "-5e-324", "nan", "inf", "-inf", "0", "-0.0", "1",
+                "0.5", "2.5", "-3", "1E3", ".5", "-.5", "1e-3", "pi", "-pi/2", "3pi/8", "2PI", "pi/0")
+# Config values whose YAML type or range a reader can get wrong.
+FUZZ_YAML = ("0.3", ".inf", "-.inf", ".nan", "1e308", "-1e308", "5e-324", "1e3", "1.0e3",
+             "1e-400", "0x10", "0o17", "1_000", "1:30", "yes", "no", "~", "''", "'0.5'",
+             "!!float 1", "half", "quarter", "third", "x", "none", "[1, 2]", "{a: 1}", "0", "-0.0",
+             "1", "2")
+FUZZ_FIELDS = {"source": ("phase", "t20", "t02", "phase_jitter", "pair_rate", "phas"),
+               "plate": ("retardance", "angle"),
+               "": ("analysis", "eta1", "eta2", "accidental_rate")}
+FUZZ_STATES = st.one_of(
+    st.sampled_from(("psi_plus", "minus", "Zero", "2,0", "1,1", "0,2", "3,0", "1,0,0.5+0.5j",
+                     "-0.5,0.5,0.7", "", "bogus")),
+    st.lists(st.sampled_from(FUZZ_NUMBERS + ("", "1j", "0.5-0.5j")), min_size=1, max_size=4)
+    .map(",".join),
+)
+_OVERRIDE_VALUES = {flag: FUZZ_NUMBERS for flag, *_ in cli._OVERRIDES}
+_OVERRIDE_VALUES["--retardance"] = FUZZ_NUMBERS + ("half", "quarter", "Third")
+_OVERRIDE_VALUES["--analysis"] = ("none", "x", "y")
+
+
+def _fuzz_flags(data, choices: dict) -> list:
+    """A drawn subset of the flags in `choices`, each with a drawn value."""
+    words = []
+    for flag in data.draw(st.lists(st.sampled_from(sorted(choices)), unique=True)):
+        words += [flag, data.draw(st.sampled_from(choices[flag]))]
+    return words
+
+
+def _fuzz_config(data, path) -> None:
+    """Write a config: the plate (first `half` at 0.3) and a drawn subset of
+    the other fields, each set to a drawn YAML scalar."""
+    lines = []
+    for section, fields in FUZZ_FIELDS.items():
+        chosen = [name for name in fields if section == "plate" or data.draw(st.booleans())]
+        if chosen and section:
+            lines.append(f"{section}:")
+        for name in chosen:
+            values = ("half",) + FUZZ_YAML if name == "retardance" else FUZZ_YAML
+            lines.append(f"{'  ' if section else ''}{name}: {data.draw(st.sampled_from(values))}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+def _fuzz_argv(data, command: str, config: str, output: str) -> list:
+    """Drawn argv for `command`; --duration, --steps, --grid, --samples and
+    the plate budget stay small."""
+    if command == "info":
+        return ["info"]
+    if command == "stokes":
+        return ["stokes", data.draw(FUZZ_STATES)]
+    if command == "verify":
+        return ["verify", *_fuzz_flags(data, {
+            "--grid": ("-1", "0", "1", "2", "11", "1002", "1e308", "nan"),
+            "--samples": ("-5", "0", "1", "20", "100001", "inf"),
+            "--seed": ("-1", "0", "7", str(2**70), "1e3"),
+        })]
+    if command == "synth":
+        source = data.draw(st.sampled_from(("plus", "minus", "zero", "psi_minus", "bogus", "")))
+        arrow = data.draw(st.sampled_from(("->", "→", "-")))
+        plates = data.draw(st.lists(
+            st.sampled_from(("hwp", "qwp", "free", "", " hwp", "QWP", "xyz")), min_size=1, max_size=2
+        ))
+        return ["synth", source + arrow + data.draw(FUZZ_STATES), "--plates", ",".join(plates),
+                *_fuzz_flags(data, {
+                    "--phi": FUZZ_NUMBERS + ("free",),
+                    "--grid-density": ("-1", "0", "7", "8", "1e308", "nan"),
+                    "--tol": ("5e-324", "nan", "inf", "0", "-1", "1e-3"),
+                    "--seed": ("-1", "0", "3", "1e3"),
+                })]
+    if command == "sweep":
+        start = data.draw(st.sampled_from(FUZZ_NUMBERS[1:] + FUZZ_NUMBERS[:1]))
+        head = ["sweep", config, "--param", data.draw(st.sampled_from(("phi", "chi"))),
+                "--start", start, "--stop", data.draw(st.sampled_from(FUZZ_NUMBERS)),
+                *_fuzz_flags(data, {"--steps": ("-1", "0", "1", "2", "3", "50", "1e3", "nan")})]
+    else:
+        duration = ("1e308", "5e-324", "nan", "inf", "-1", "0", "0.5", "3", "50")
+        head = ["mc", config, "--duration", data.draw(st.sampled_from(duration)),
+                *_fuzz_flags(data, {"--bin": ("1e308", "5e-324", "nan", "0", "0.5", "1", "2.5"),
+                                    "--seed": ("-1", "0", "42", "1e3")})]
+    deg = ["--deg"] if data.draw(st.booleans()) else []
+    return head + _fuzz_flags(data, _OVERRIDE_VALUES) + deg + ["-o", output]
+
+
+def _names_a_culprit(err: str, argv: list) -> bool:
+    """Whether an error names a flag of `argv`, a config field, or an argument."""
+    flags = [word for word in argv if re.match(r"--?[a-z]", word)]
+    names = flags + [flag[2:].replace("-", "_") for flag in flags if flag.startswith("--")]
+    names += [repr(word.strip()) for word in argv] + ["state", "transition"]
+    if argv[0] in ("sweep", "mc"):
+        names += [field for fields in FUZZ_FIELDS.values() for field in fields] + ["source", "plate"]
+    if argv[0] == "synth":
+        names += [repr(part.strip()) for part in re.split(r"->|→", argv[1])]
+    return any(name in err for name in names)
+
+
+class TestArgvFuzz:
+    """Every subcommand, in process, on drawn argv: exit 0, 2 or 3 with no
+    other exception leaving `main` (warnings are errors under pytest), exit 2
+    names its culprit, and every rate and count written is finite."""
+
+    @pytest.mark.parametrize("command", ["info", "stokes", "verify", "synth", "sweep", "mc"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_and_output(self, tmp_path_factory, command, data):
+        work = tmp_path_factory.mktemp("fuzz")
+        config, output = work / "cfg.yaml", work / "out.csv"
+        _fuzz_config(data, config)
+        argv = _fuzz_argv(data, command, str(config), str(output))
+        stdout, stderr = StringIO(), StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejected the words
+                code = exc.code
+        err = stderr.getvalue()
+        assert code in (0, 2, 3), (code, err)
+        if code == 2:
+            assert _names_a_culprit(err, argv), err
+        if code == 0 and command == "sweep":
+            table = io.read_sweep_csv(str(output))
+            assert np.all(np.isfinite(table.values)) and np.all(np.isfinite(table.rates))
+        if code == 0 and command == "mc":
+            table, _, _ = io.read_counts_csv(str(output))
+            assert np.all(np.isfinite(table.t_start))
+            assert "nan" not in stdout.getvalue() and "inf" not in stdout.getvalue()

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from triphot.experiment import (
 from triphot.optics import PlateSpec
 
 PI = np.pi
+# The `observables.coincidence_probability` mode of each analysis setting.
+MODES = {"none": "direct_xy", "x": "analysis_x", "y": "analysis_y"}
 
 
 def ideal_config(plate, analysis="none", **kwargs):
@@ -57,14 +60,23 @@ class TestSourceState:
         s = source_state(SourceSpec(phase=0.0, t02=0.0))
         assert np.allclose(s, qutrit.fock_basis(0), atol=1e-15)
 
-    def test_jitter_shifts_phase(self):
-        a = source_state(SourceSpec(phase=0.3), jitter_draw=0.2)
-        b = source_state(SourceSpec(phase=0.5))
-        assert np.allclose(a, b, atol=1e-15)
-
     def test_both_arms_blocked(self):
         with pytest.raises(ValueError):
             SourceSpec(phase=0.0, t20=0.0, t02=0.0)
+
+    @pytest.mark.parametrize("t20,t02", [(5e-324, 5e-324), (1e-310, 0.0), (0.0, 2e-308)])
+    def test_subnormal_arms_rejected(self, t20, t02):
+        # predict_rate divides by hypot(t20, t02): it used to write NaN rates
+        with pytest.raises(ValueError, match="t20 and t02 cannot both be zero or subnormal"):
+            SourceSpec(t20=t20, t02=t02)
+
+    def test_smallest_normal_arms_give_finite_rates(self):
+        tiny = np.finfo(float).tiny
+        for t20, t02 in ((tiny, 0.0), (tiny, tiny), (0.0, tiny)):
+            for analysis in ("none", "x", "y"):
+                src = SourceSpec(t20=t20, t02=t02, pair_rate=1e308)
+                cfg = ExperimentConfig(src, PlateSpec(1.0, 0.3), analysis)
+                assert np.all(np.isfinite(predict_rate(cfg, phi=np.linspace(0.0, 2 * PI, 9))))
 
 
 class TestLargestRate:
@@ -154,10 +166,10 @@ class TestClosedFormLaws:
                 g = optics.lift(optics.retarder(cfg.plate.retardance, cfg.plate.angle))
                 damp = np.exp(-0.5 * jitter**2)
                 for phi, rate in zip(phis, rates):
-                    src = SourceSpec(phase=phi, t20=cfg.source.t20, t02=cfg.source.t02)
                     p0, p_pi = (
                         observables.coincidence_probability(
-                            optics.apply(g, source_state(src, draw)), cfg.mode, cfg.eta1, cfg.eta2
+                            optics.apply(g, source_state(replace(cfg.source, phase=phi + draw))),
+                            MODES[analysis], cfg.eta1, cfg.eta2,
                         )
                         for draw in (0.0, PI)
                     )
@@ -210,7 +222,7 @@ class TestPredictRate:
                 state = optics.apply(cfg.plate.lifted(), source_state(cfg.source))
                 expected = (
                     cfg.source.pair_rate
-                    * observables.coincidence_probability(state, cfg.mode, cfg.eta1, cfg.eta2)
+                    * observables.coincidence_probability(state, MODES[analysis], cfg.eta1, cfg.eta2)
                     + cfg.accidental_rate
                 )
                 assert abs(predict_rate(cfg) - expected) < 1e-12 * max(1.0, expected)
@@ -232,9 +244,10 @@ class TestPredictRate:
             state_prob = []
             g = cfg.plate.lifted()
             for x in nodes:
-                s = optics.apply(g, source_state(cfg.source, jitter_draw=np.sqrt(2) * sigma * x))
+                jittered = replace(cfg.source, phase=cfg.source.phase + np.sqrt(2) * sigma * x)
+                s = optics.apply(g, source_state(jittered))
                 state_prob.append(
-                    observables.coincidence_probability(s, cfg.mode, cfg.eta1, cfg.eta2)
+                    observables.coincidence_probability(s, "direct_xy", cfg.eta1, cfg.eta2)
                 )
             oracle = cfg.source.pair_rate * float(
                 np.dot(weights, state_prob) / np.sqrt(PI)

@@ -1,6 +1,7 @@
 """Tests for config files and result serialization."""
 
 import dataclasses
+import math
 import os
 import tempfile
 from pathlib import Path
@@ -326,6 +327,32 @@ class TestAtomicWrites:
             os.umask(old)
         assert os.stat(path).st_mode & 0o777 == mode
 
+    def test_missing_directory_names_the_output(self, tmp_path):
+        path = str(tmp_path / "missing" / "out.csv")
+        with pytest.raises(FileNotFoundError) as err:
+            io.atomic_write_text(path, "hello\n")
+        assert err.value.filename == path
+        assert ".triphot-" not in str(err.value)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("suffix", ["", "/"])
+    def test_directory_target_names_the_output(self, tmp_path, suffix):
+        target = tmp_path / "sub" / "out"
+        target.mkdir(parents=True)
+        path = str(target) + suffix
+        with pytest.raises(IsADirectoryError) as err:
+            io.atomic_write_text(path, "hello\n")
+        assert err.value.filename == path
+        assert ".triphot-" not in str(err.value)
+        assert os.listdir(target.parent) == ["out"] and os.listdir(target) == []
+
+    def test_trailing_slash_on_a_new_name_is_a_directory(self, tmp_path):
+        path = str(tmp_path / "new") + "/"
+        with pytest.raises(IsADirectoryError) as err:
+            io.atomic_write_text(path, "hello\n")
+        assert err.value.filename == path
+        assert os.listdir(tmp_path) == []
+
 
 class TestSweepTableValidation:
     def test_non_increasing_rejected(self):
@@ -371,7 +398,8 @@ nonnegative = st.floats(0.0, allow_infinity=False)
 
 @st.composite
 def configs(draw):
-    t20, t02 = draw(st.tuples(unit, unit).filter(any))
+    # a source whose arms are both zero or subnormal is rejected
+    t20, t02 = draw(st.tuples(unit, unit).filter(lambda t: math.hypot(*t) >= np.finfo(float).tiny))
     pair_rate = draw(st.floats(0.0, exclude_min=True, allow_infinity=False))
     eta1, eta2, accidental_rate = draw(unit), draw(unit), draw(nonnegative)
     # a config whose largest rate overflows a float is rejected
