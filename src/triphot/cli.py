@@ -21,7 +21,8 @@ import re
 import sys
 
 from . import __version__
-from .conventions import ANALYSIS_CHOICES, FREE, RETARDANCE_NAMES, TRIT_DIGITS
+from .conventions import (ANALYSIS_CHOICES, FREE, RETARDANCE_NAMES, TRIT_DIGITS, VERIFY_GRID,
+                          VERIFY_SAMPLES, VERIFY_SEED)
 from .errors import ConfigError
 
 _ANGLE_RE = re.compile(r"^([+-]?[\d.]*)\s*pi\s*(?:/\s*([\d.]+))?$")
@@ -321,9 +322,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the closed-form, lift-oracle and invariance suites")
-    p.add_argument("--grid", type=int, default=101, help="grid points per axis (default 101)")
-    p.add_argument("--samples", type=int, default=1000, help="random samples per suite (default 1000)")
-    p.add_argument("--seed", type=int, default=12345)
+    p.add_argument("--grid", type=int, default=VERIFY_GRID, help="grid points per axis (default %(default)s)")
+    p.add_argument("--samples", type=int, default=VERIFY_SAMPLES,
+                   help="random samples per suite (default %(default)s)")
+    p.add_argument("--seed", type=int, default=VERIFY_SEED)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="write an analytic rate sweep as CSV (or YAML)")

@@ -14,6 +14,10 @@ ANALYSIS_CHOICES = ("none", "x", "y")
 # The retardance of a plate whose retardance the synthesis search chooses.
 FREE = "free"
 
+# Defaults of `triphot verify` and `verify.run_checks`: grid points per axis,
+# random samples per suite, and the seed of the first random suite.
+VERIFY_GRID, VERIFY_SAMPLES, VERIFY_SEED = 101, 1000, 12345
+
 # Named plate retardances, in radians.
 RETARDANCE_NAMES = {"half": math.pi, "quarter": math.pi / 2}
 

@@ -131,6 +131,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"{path}: invalid YAML{where}: {exc}") from exc
     if mapping is None:
         raise ConfigError(f"{path}: empty config")
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{path}: config root must be a mapping, got {type(mapping).__name__}")
     return config_from_mapping(mapping)
 
 

@@ -19,8 +19,7 @@ import numpy as np
 
 from . import optics, qutrit
 from .conventions import ANALYSIS_HWP_ANGLE
-
-_SQRT2 = np.sqrt(2.0)
+from .qutrit import _SQRT2
 
 
 class StokesVector(NamedTuple):

@@ -25,9 +25,9 @@ import numpy as np
 from .conventions import RETARDANCE_NAMES
 from .errors import NonUnitaryOperatorError
 from . import qutrit
+from .qutrit import _SQRT2
 
 UNITARY_TOL = 1e-10
-_SQRT2 = np.sqrt(2.0)
 _TWO_PI = 2.0 * np.pi
 
 

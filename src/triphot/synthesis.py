@@ -42,8 +42,8 @@ from itertools import combinations, product
 import numpy as np
 
 from . import observables, optics, qutrit
-from .conventions import FREE
-from .experiment import SourceSpec, check_seed, source_state
+from .conventions import FREE, RETARDANCE_NAMES
+from .experiment import check_seed
 from .optics import PlateSpec
 
 REACHABLE_THRESHOLD = 1.0 - 1e-6
@@ -88,7 +88,7 @@ class SynthesisProblem:
     input_state: np.ndarray
     target: np.ndarray
     budget: int = 1
-    retardances: tuple = (math.pi,)
+    retardances: tuple = (RETARDANCE_NAMES["half"],)
     optimize_source_phase: bool = False
 
     def __post_init__(self):
@@ -212,17 +212,6 @@ def _grid_fidelities(problem: SynthesisProblem, assignment: tuple, points: np.nd
             problem, assignment, points[lo : lo + _GRID_CHUNK].T
         )
     return values
-
-
-def realized_fidelity(problem: SynthesisProblem, plates, source_phase) -> float:
-    """Recompute a result's fidelity through the public optics pipeline."""
-    if source_phase is None:
-        state = problem.input_state
-    else:
-        state = source_state(SourceSpec(phase=source_phase))
-    for spec in plates:
-        state = optics.apply(spec.lifted(), state)
-    return qutrit.fidelity(problem.target, state)
 
 
 @functools.lru_cache(maxsize=4)
@@ -418,9 +407,9 @@ def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine
     call and takes the saddle-free Newton step V diag(1/|lambda|) V^T g of
     the Hessian's eigen-decomposition, its |lambda| floored and its largest
     scaled component clipped to the trust radius.  A backtracking line search
-    halves the step until the fidelity does not drop, and takes no step when
-    none of the halvings qualifies.  A start stops when its largest parameter
-    step is <= refine_tol radians, or after the step cap.
+    halves the step until the fidelity does not drop.  A start stops once its
+    step, proposed or halved, is <= refine_tol radians in every parameter
+    (that step is not tried), when no halving qualifies, or at the step cap.
 
     Returns (points, fidelities, kernel evaluations).
     """
@@ -444,6 +433,10 @@ def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine
         moved = np.zeros(len(active), dtype=bool)
         pending = np.arange(len(active))
         for _ in range(_HALVINGS):
+            # a step at or below the tolerance would end the start anyway
+            pending = pending[np.abs(dx[pending]).max(axis=1) > refine_tol]
+            if not pending.size:
+                break
             trial = xa[pending] + dx[pending]
             ft = _grid_fidelities(problem, assignment, trial)
             evaluations += ft.size
@@ -453,12 +446,8 @@ def _refine(problem: SynthesisProblem, assignment: tuple, starts, values, refine
             moved[taken] = True
             pending = pending[~ok]
             dx[pending] *= 0.5
-            # a step at or below the tolerance would end the start anyway
-            pending = pending[np.abs(dx[pending]).max(axis=1) > refine_tol]
-            if not pending.size:
-                break
-        largest = np.where(moved, np.abs(dx).max(axis=1), 0.0)
-        active = active[largest > refine_tol]
+        # every step taken exceeded the tolerance; the rest ended their start
+        active = active[moved]
     return x, f, evaluations
 
 
@@ -522,9 +511,9 @@ def synthesize(
     with the source phase free).  Every other assignment runs the grid
     search plus Newton refinement, the only path that `grid_density`,
     `refine_tol` and `seed` act on (all three are checked either way; `seed`
-    must be a non-negative integer).  Refinement stops a start once its
-    largest parameter step is <= `refine_tol` radians.  `evaluations` counts
-    kernel samples of the assignments walked: the closed form's, grid
+    must be a non-negative integer).  Refinement stops a start, untried, once
+    its step is <= `refine_tol` radians in every parameter.  `evaluations`
+    counts kernel samples of the assignments walked: the closed form's, grid
     points, and the refinement's stencil and line-search samples.
 
     Both paths return every candidate they refined, and the one tie-break is
@@ -535,8 +524,9 @@ def synthesize(
     to the earlier assignment.
 
     Returns the best plate sequence found; a low fidelity is a valid answer
-    (see `reachability_report`).  The reported fidelity is recomputed from
-    the returned settings through the optics pipeline.
+    (see `reachability_report`).  The reported fidelity is the kernel's value
+    at the returned settings, one call not counted in `evaluations`; it
+    matches the lift-and-apply of the optics pipeline to rounding.
     """
     check_grid_density(grid_density)
     check_refine_tol(refine_tol)
@@ -565,10 +555,9 @@ def synthesize(
     eligible = [c for c in candidates if c[0] >= top - _TIE_TOL]
     eligible.sort(key=lambda c: (c[1], c[2]))
     _, _, params, assignment = eligible[0]
-    plates, phase = _decode(problem, assignment, np.array(params))
+    plates, phase = _decode(problem, assignment, params)
     plate_specs = tuple(PlateSpec(delta, chi) for delta, chi in plates)
-    phase = optics.wrap(float(phase), _TWO_PI) if phase is not None else None
-    fidelity = realized_fidelity(problem, plate_specs, phase)
+    fidelity = float(_fidelity(problem, assignment, params))
     return SynthesisResult(plate_specs, phase, fidelity, evaluations, bound)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import experiment, observables, optics
-from .conventions import RETARDANCE_NAMES
+from .conventions import RETARDANCE_NAMES, VERIFY_GRID, VERIFY_SAMPLES, VERIFY_SEED
 from .experiment import ExperimentConfig, SourceSpec
 from .optics import PlateSpec
 
@@ -120,7 +120,8 @@ def check_p_invariance(samples: int, seed: int) -> CheckResult:
     return CheckResult("polarization-degree invariance under plates", residual, 1e-10)
 
 
-def run_checks(grid: int = 101, samples: int = 1000, seed: int = 12345) -> list[CheckResult]:
+def run_checks(grid: int = VERIFY_GRID, samples: int = VERIFY_SAMPLES,
+               seed: int = VERIFY_SEED) -> list[CheckResult]:
     if not (2 <= grid <= MAX_GRID):
         raise ValueError(f"grid must be in 2..{MAX_GRID} (--grid), got {grid}")
     if not (1 <= samples <= MAX_SAMPLES):

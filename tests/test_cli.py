@@ -130,6 +130,19 @@ class TestVerify:
         assert flag in captured.err
         assert captured.out == ""
 
+    def test_flagless_command_runs_the_library_defaults(self, capsys, monkeypatch):
+        run_checks = verify.run_checks
+        seen = []
+
+        def record(*args):
+            seen.append(run_checks(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(verify, "run_checks", record)
+        assert main(["verify"]) == 0
+        assert seen == [run_checks()]
+        assert "grid 101x101, 1000 samples, seed 12345" in capsys.readouterr().out
+
     def test_run_checks_guards_library_callers(self):
         with pytest.raises(ValueError, match="--grid"):
             verify.run_checks(grid=1)

@@ -13,6 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from triphot import io
+from triphot.cli import main
 from triphot.errors import ConfigError
 from triphot.experiment import (
     ANALYSIS_CHOICES,
@@ -133,6 +134,17 @@ class TestLoadConfig:
     def test_empty_file(self, tmp_path):
         with pytest.raises(ConfigError, match="empty"):
             io.load_config(write(tmp_path, ""))
+
+    def test_root_not_a_mapping_names_the_file(self, tmp_path, capsys):
+        path = write(tmp_path, "- 1\n- 2\n", name="list.yaml")
+        message = f"{path}: config root must be a mapping, got list"
+        with pytest.raises(ConfigError) as err:
+            io.load_config(path)
+        assert str(err.value) == message
+        out_path = tmp_path / "l.csv"
+        assert main(["sweep", path, "--param", "phi", "-o", str(out_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_path.exists()
 
 
 def sample_config():
