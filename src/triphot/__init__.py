@@ -21,8 +21,7 @@ __version__ = "0.1.0"
 # Each public name, once, under the module that defines it.
 _EXPORTS = {
     "errors": ("ConfigError", "DegenerateTableError", "NonUnitaryOperatorError", "ZeroStateError"),
-    "qutrit": ("fidelity", "fock_basis", "make_state", "overlap", "pair_state", "states_equal",
-               "trit_basis"),
+    "qutrit": ("fidelity", "fock_basis", "make_state", "overlap", "states_equal", "trit_basis"),
     "optics": ("PlateSpec", "apply", "apply_conditioned", "half_wave", "is_in_plate_subgroup",
                "lift", "polarizer", "quarter_wave", "retarder", "rotator", "su3_exp"),
     "observables": ("coherence_length", "coincidence_probability", "correlators",

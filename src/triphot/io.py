@@ -136,10 +136,6 @@ def load_config(path: str) -> ExperimentConfig:
     return config_from_mapping(mapping)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def _meta_lines(kind: str, config: ExperimentConfig, extra: dict | None = None) -> list[str]:
     lines = [
         CSV_MAGIC,
@@ -154,8 +150,10 @@ def _meta_lines(kind: str, config: ExperimentConfig, extra: dict | None = None) 
 def write_sweep_csv(table: SweepTable, path: str) -> None:
     lines = _meta_lines("sweep", table.config)
     lines.append("param,value,rate")
-    for value, rate in zip(table.values, table.rates):
-        lines.append(f"{table.parameter},{_fmt(value)},{_fmt(rate)}")
+    # map(float) keeps one Python float per column alive; .tolist() would
+    # hold both columns beside the lines, 4 MB more at 100 001 rows
+    values, rates = map(float, table.values), map(float, table.rates)
+    lines.extend(f"{table.parameter},{v!r},{r!r}" for v, r in zip(values, rates))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -164,7 +162,6 @@ def write_counts_csv(
 ) -> None:
     lines = _meta_lines("counts", config, run_meta)
     lines.append("t_start,coincidences")
-    # repr of a Python float is what _fmt writes
     lines += [f"{t!r},{c}" for t, c in zip(table.t_start.tolist(), table.counts.tolist())]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conventions import RETARDANCE_NAMES
+from .conventions import RETARDANCE_NAMES, TRIT_LABELS
 from .errors import NonUnitaryOperatorError
 from . import qutrit
 from .qutrit import _SQRT2
@@ -90,12 +90,6 @@ class PlateSpec:
     @classmethod
     def quarter(cls, chi: float) -> "PlateSpec":
         return cls(RETARDANCE_NAMES["quarter"], chi)
-
-    def jones(self) -> np.ndarray:
-        return retarder(self.retardance, self.angle)
-
-    def lifted(self) -> np.ndarray:
-        return lift(self.jones())
 
 
 def lift(j: np.ndarray) -> np.ndarray:
@@ -198,43 +192,26 @@ def su3_exp(params) -> np.ndarray:
     return (v * np.exp(1j * w)) @ v.conj().T
 
 
-def phase_aligned_residual(a: np.ndarray, b: np.ndarray) -> float:
-    """min over theta of the Frobenius distance |a - e^{i theta} b|.
-
-    The optimal phase is applied explicitly and the matrices subtracted
-    entrywise, so near-equal operators give residuals at machine precision
-    instead of the sqrt-cancellation floor.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    gram = complex(np.trace(a.conj().T @ b))
-    if abs(gram) < 1e-300:
-        return float(np.sqrt(np.vdot(a, a).real + np.vdot(b, b).real))
-    return float(np.linalg.norm(a - (np.conj(gram) / abs(gram)) * b))
+# The trit basis (plus, minus, zero) as columns, times diag(1, i, i).  On this
+# frame the lift of every 2x2 unitary is a global phase times a real rotation:
+# the spin-1 representation of SU(2) is SO(3).
+REAL_FRAME = np.column_stack([qutrit.trit_basis(label) for label in TRIT_LABELS]) * [1, 1j, 1j]
 
 
 def is_in_plate_subgroup(g: np.ndarray) -> bool:
     """Whether a unitary pair operator is the lift of some 2x2 unitary.
 
-    Reconstructs a candidate Jones matrix from the quadratic entries of g
-    (a = sqrt(g00), b = g01/(sqrt(2) a), ...) and accepts when the lift of the
-    candidate matches g up to a global phase with residual < 1e-9.
+    Plates realize only that subgroup of U(3), which on `REAL_FRAME` F acts
+    as a global phase times SO(3).  So g belongs exactly when F^dag g F,
+    divided by the phase of its largest entry, is real: every imaginary part
+    below 1e-9.  A real unitary is orthogonal, and one of determinant -1 is a
+    rotation times -1, the lift of i times the identity, so it belongs too.
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (3, 3):
         raise ValueError(f"pair operator must be 3x3, got shape {g.shape}")
     if not is_unitary(g, 1e-9):
         raise NonUnitaryOperatorError("subgroup test expects a unitary operator")
-    # For a unitary j, |a|^2 + |b|^2 = 1, so g00 and g02 cannot both vanish.
-    if abs(g[0, 0]) >= abs(g[0, 2]):
-        a = np.sqrt(g[0, 0])
-        b = g[0, 1] / (_SQRT2 * a)
-        c = g[1, 0] / (_SQRT2 * a)
-        d = (g[1, 1] - b * c) / a
-    else:
-        b = np.sqrt(g[0, 2])
-        a = g[0, 1] / (_SQRT2 * b)
-        d = g[1, 2] / (_SQRT2 * b)
-        c = (g[1, 1] - a * d) / b
-    candidate = np.array([[a, b], [c, d]])
-    return phase_aligned_residual(lift(candidate), g) < 1e-9
+    m = REAL_FRAME.conj().T @ g @ REAL_FRAME
+    pivot = m.flat[np.argmax(np.abs(m))]
+    return bool(np.max(np.abs((m * (abs(pivot) / pivot)).imag)) < 1e-9)

@@ -36,22 +36,19 @@ _ZERO_NORM_SQ = 1e-30
 _SQRT2 = np.sqrt(2.0)
 
 
-def _normalized(c: np.ndarray, what: str) -> np.ndarray:
-    """`c` divided by its norm.  Rejects non-finite entries, a (near-)zero
-    norm (ZeroStateError) and a squared norm past the float range."""
+def make_state(c1: complex, c2: complex, c3: complex) -> np.ndarray:
+    """Normalize amplitudes (c1, c2, c3) into a unit state vector.  Rejects
+    non-finite amplitudes, a (near-)zero norm (ZeroStateError) and a squared
+    norm past the float range."""
+    c = np.array([c1, c2, c3], dtype=complex)
     if not np.all(np.isfinite(c.view(float))):
         raise ValueError("amplitudes must be finite")
     nsq = float(np.vdot(c, c).real)
     if nsq <= _ZERO_NORM_SQ:
-        raise ZeroStateError(f"cannot normalize a (near-)zero {what}")
+        raise ZeroStateError("cannot normalize a (near-)zero amplitude triple")
     if nsq == math.inf:
-        raise ValueError(f"squared norm of the {what} overflows a float; scale it down")
+        raise ValueError("squared norm of the amplitude triple overflows a float; scale it down")
     return c / np.sqrt(nsq)
-
-
-def make_state(c1: complex, c2: complex, c3: complex) -> np.ndarray:
-    """Normalize amplitudes (c1, c2, c3) into a unit state vector."""
-    return _normalized(np.array([c1, c2, c3], dtype=complex), "amplitude triple")
 
 
 def fock_basis(k: int) -> np.ndarray:
@@ -79,7 +76,8 @@ def require_normalized(s: np.ndarray) -> np.ndarray:
     s = np.asarray(s, dtype=complex)
     if s.shape != (3,):
         raise ValueError(f"state must be a length-3 vector, got shape {s.shape}")
-    if abs(float(np.vdot(s, s).real) - 1.0) > NORM_TOL:
+    # written so that a NaN norm fails the test too
+    if not abs(float(np.vdot(s, s).real) - 1.0) <= NORM_TOL:
         raise ValueError("state is not normalized")
     return s
 
@@ -99,37 +97,3 @@ def fidelity(a: np.ndarray, b: np.ndarray) -> float:
 def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
     """Phase-blind equality: true when the fidelity deviates from 1 by < tol."""
     return abs(fidelity(a, b) - 1.0) < tol
-
-
-def jones_vector(ex: complex, ey: complex) -> np.ndarray:
-    """Normalize a single-photon polarization amplitude pair (ex, ey)."""
-    return _normalized(np.array([ex, ey], dtype=complex), "Jones vector")
-
-
-def linear(theta: float) -> np.ndarray:
-    """Jones vector of linear polarization at angle theta from x."""
-    return np.array([np.cos(theta), np.sin(theta)], dtype=complex)
-
-
-def right_circular() -> np.ndarray:
-    return np.array([1.0, -1.0j]) / _SQRT2
-
-
-def left_circular() -> np.ndarray:
-    return np.array([1.0, 1.0j]) / _SQRT2
-
-
-def pair_state(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Normalized two-photon state with one photon in polarization u, one in v.
-
-    The amplitudes are the symmetrized products
-        c1 = ux*vx,  c2 = (ux*vy + uy*vx)/sqrt(2),  c3 = uy*vy,
-    normalized afterwards.  Symmetric in (u, v) at the amplitude level.
-    """
-    u = np.asarray(u, dtype=complex)
-    v = np.asarray(v, dtype=complex)
-    if u.shape != (2,) or v.shape != (2,):
-        raise ValueError("Jones vectors must have shape (2,)")
-    # make_state rejects an infinite or overflowing product; numpy need not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        return make_state(u[0] * v[0], (u[0] * v[1] + u[1] * v[0]) / _SQRT2, u[1] * v[1])

@@ -219,7 +219,8 @@ class TestPredictRate:
                     eta2=rng.uniform(0.1, 1.0),
                     accidental_rate=rng.uniform(0.0, 0.5),
                 )
-                state = optics.apply(cfg.plate.lifted(), source_state(cfg.source))
+                g = optics.lift(optics.retarder(cfg.plate.retardance, cfg.plate.angle))
+                state = optics.apply(g, source_state(cfg.source))
                 expected = (
                     cfg.source.pair_rate
                     * observables.coincidence_probability(state, MODES[analysis], cfg.eta1, cfg.eta2)
@@ -242,7 +243,7 @@ class TestPredictRate:
                 accidental_rate=0.2,
             )
             state_prob = []
-            g = cfg.plate.lifted()
+            g = optics.lift(optics.retarder(cfg.plate.retardance, cfg.plate.angle))
             for x in nodes:
                 jittered = replace(cfg.source, phase=cfg.source.phase + np.sqrt(2) * sigma * x)
                 s = optics.apply(g, source_state(jittered))
@@ -473,7 +474,7 @@ class TestSimulateCounts:
         k = (
             optics.lift(optics.half_wave(PI / 8))
             @ optics.lift(optics.polarizer("x"))
-            @ optics.lift(cfg.plate.jones())
+            @ optics.lift(optics.retarder(cfg.plate.retardance, cfg.plate.angle))
         )
         src = cfg.source
         norm = np.hypot(src.t20, src.t02)

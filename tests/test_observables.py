@@ -59,6 +59,13 @@ class TestStokes:
             s = random_state(rng)
             assert np.allclose(observables.stokes(s), stokes_oracle(s), atol=1e-12)
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0], [np.inf, 0, 0]])
+    def test_nonfinite_state_rejected_as_in_a_stack(self, bad):
+        state = np.array(bad, dtype=complex)
+        for s in (state, state[None, :]):
+            with pytest.raises(ValueError, match="not normalized"):
+                observables.stokes(s)
+
     def test_reduced_vector_bounded(self):
         rng = np.random.default_rng(9)
         for _ in range(200):

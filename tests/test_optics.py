@@ -91,10 +91,6 @@ class TestPlateSpec:
         assert abs(PlateSpec.half(0.1).retardance - np.pi) < 1e-15
         assert abs(PlateSpec.quarter(0.1).retardance - np.pi / 2) < 1e-15
 
-    def test_jones_matches_retarder(self):
-        spec = PlateSpec(1.1, 0.4)
-        assert np.array_equal(spec.jones(), optics.retarder(1.1, 0.4))
-
 
 class TestLift:
     def test_identity(self):
@@ -173,6 +169,11 @@ class TestApply:
         with pytest.raises(NonUnitaryOperatorError):
             optics.apply(optics.lift(optics.polarizer("x")), qutrit.trit_basis("zero"))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0], [np.inf, 0, 0]])
+    def test_rejects_nonfinite_state(self, bad):
+        with pytest.raises(ValueError, match="not normalized"):
+            optics.apply(np.eye(3), np.array(bad, dtype=complex))
+
 
 class TestApplyConditioned:
     def test_x_polarizer_passes_xx(self):
@@ -206,7 +207,8 @@ class TestCompose:
     def test_half_wave_squares_to_identity_up_to_phase(self):
         for chi in (0.0, 0.2, np.pi / 8):
             g = optics.lift(optics.half_wave(chi))
-            assert optics.phase_aligned_residual(g @ g, np.eye(3)) < 1e-12
+            # the half-wave Jones matrix squares to -1, whose lift is 1
+            assert np.max(np.abs(g @ g - np.eye(3))) < 1e-12
 
     def test_matches_lift_of_product(self):
         j1, j2 = optics.half_wave(0.0), optics.half_wave(np.pi / 8)
@@ -261,3 +263,44 @@ class TestPlateSubgroupMembership:
             g = optics.su3_exp(rng.uniform(-1.0, 1.0, 8))
             hits += optics.is_in_plate_subgroup(g)
         assert hits == 0
+
+    def test_real_frame_is_phased_trit_basis(self):
+        trits = np.column_stack([qutrit.trit_basis(label) for label in qutrit.TRIT_LABELS])
+        assert np.array_equal(optics.REAL_FRAME, trits @ np.diag([1.0, 1.0j, 1.0j]))
+
+    def test_lifts_are_rotations_on_the_real_frame(self):
+        # the spin-1 representation: lifted U(2) is a global phase times SO(3)
+        frame = optics.REAL_FRAME
+        rng = np.random.default_rng(5)
+        for j in unitary_group.rvs(2, size=200, random_state=rng):
+            # j = e^{i phi} s with s in SU(2) lifts to e^{2 i phi} lift(s) = det(j) lift(s)
+            m = frame.conj().T @ optics.lift(j) @ frame / np.linalg.det(j)
+            assert np.max(np.abs(m.imag)) < 1e-12
+            assert np.max(np.abs(m.real.T @ m.real - np.eye(3))) < 1e-12
+            assert abs(np.linalg.det(m.real) - 1.0) < 1e-12
+
+    def test_phased_improper_rotation_belongs(self):
+        # -1 is the lift of i times the identity, so -1 times a rotation belongs
+        frame = optics.REAL_FRAME
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            q = -np.sign(np.linalg.det(q)) * q
+            assert np.linalg.det(q) < 0
+            g = np.exp(1j * rng.uniform(0, 2 * np.pi)) * frame @ q @ frame.conj().T
+            assert optics.is_in_plate_subgroup(g)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0])
+    def test_su3_elements_near_and_far_from_identity_do_not_belong(self, scale):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            g = optics.su3_exp(scale * rng.uniform(-1.0, 1.0, 8))
+            assert not optics.is_in_plate_subgroup(g)
+
+    def test_rejects_non_unitary_and_wrong_shape(self):
+        with pytest.raises(NonUnitaryOperatorError):
+            optics.is_in_plate_subgroup(optics.lift(optics.polarizer("x")))
+        with pytest.raises(NonUnitaryOperatorError):
+            optics.is_in_plate_subgroup(1.1 * np.eye(3))
+        with pytest.raises(ValueError, match="3x3"):
+            optics.is_in_plate_subgroup(np.eye(2))

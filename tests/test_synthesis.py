@@ -41,7 +41,7 @@ def realized_fidelity(problem, plates, source_phase):
     else:
         state = source_state(SourceSpec(phase=source_phase))
     for spec in plates:
-        state = optics.apply(spec.lifted(), state)
+        state = optics.apply(optics.lift(optics.retarder(spec.retardance, spec.angle)), state)
     return qutrit.fidelity(problem.target, state)
 
 
@@ -236,7 +236,7 @@ class TestSynthesize:
             assert result.fidelity > 1 - 1e-9
             g = np.eye(3, dtype=complex)
             for spec in result.plates:
-                g = spec.lifted() @ g
+                g = optics.lift(optics.retarder(spec.retardance, spec.angle)) @ g
             back = optics.apply(g.conj().T, problem.target)
             assert abs(qutrit.fidelity(problem.input_state, back) - result.fidelity) < 1e-12
 
@@ -515,6 +515,15 @@ class TestProblemValidation:
     def test_bad_retardance_entry(self):
         with pytest.raises(ValueError):
             SynthesisProblem(trit_basis("minus"), trit_basis("zero"), 1, ("loose",), False)
+
+    @pytest.mark.parametrize("bad", [[np.nan, 0, 0], [np.inf, 0, 0]])
+    def test_nonfinite_states_rejected(self, bad):
+        # used to pass, and synthesize then failed inside numpy
+        bad = np.array(bad, dtype=complex)
+        with pytest.raises(ValueError, match="not normalized"):
+            SynthesisProblem(bad, trit_basis("zero"), 1, (PI,), False)
+        with pytest.raises(ValueError, match="not normalized"):
+            SynthesisProblem(trit_basis("minus"), bad, 1, (PI,), False)
 
     def test_phase_optimization_needs_source_input(self):
         with pytest.raises(ValueError):
