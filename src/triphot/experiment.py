@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,16 +134,21 @@ class SweepTable:
         object.__setattr__(self, "rates", rates)
 
 
-@dataclass(frozen=True)
-class CountRecord:
-    """One bin of a CountTable, as iterating the table yields it."""
-
+class _CountFields(NamedTuple):
     t_start: float
     coincidences: int
 
-    def __post_init__(self):
-        if self.coincidences < 0:
+
+class CountRecord(_CountFields):
+    """One bin of a CountTable, as iterating the table yields it: a named
+    tuple (t_start, coincidences), so `for t, c in table` works."""
+
+    __slots__ = ()
+
+    def __new__(cls, t_start: float, coincidences: int):
+        if coincidences < 0:
             raise ValueError("coincidences must be nonnegative")
+        return super().__new__(cls, t_start, coincidences)
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,7 +178,9 @@ class CountTable:
         return self.counts.size
 
     def __iter__(self):
-        return map(CountRecord, self.t_start.tolist(), self.counts.tolist())
+        # __post_init__ checked the counts, so each record skips CountRecord.__new__
+        rows = zip(self.t_start.tolist(), self.counts.tolist())
+        return map(tuple.__new__, repeat(CountRecord), rows)
 
     def __eq__(self, other):
         if not isinstance(other, CountTable):
@@ -298,10 +307,15 @@ def simulate_counts(
             f"mean count per bin {mean:.6g} (rate from source.pair_rate, eta1, eta2 and "
             f"accidental_rate, times the bin) exceeds numpy's Poisson limit {POISSON_MEAN_MAX:.6g}"
         )
-    counts = np.random.default_rng(seed).poisson(mean, n_bins)
     # bin i starts at float(i) * bin_width, rounded once, as in i * bin_width
     t_start = np.arange(n_bins, dtype=float)
     t_start *= bin_width
+    # Draw only after an array ufunc (the `*=` above).  predict_rate's complex
+    # 2x2 `@` runs OpenBLAS's AVX-512 zgemm, which appears to leave the upper
+    # vector registers dirty; the Poisson sampler then runs about 5x slower
+    # (1e6 draws: 45 -> 239 ms on a 2-vCPU AVX-512 Xeon) until an
+    # AVX-dispatched ufunc loop clears that state.  Same generator, same counts.
+    counts = np.random.default_rng(seed).poisson(mean, n_bins)
     return CountTable(t_start, counts)
 
 

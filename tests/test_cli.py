@@ -505,6 +505,24 @@ class TestMcCommand:
         )
         assert hashlib.sha256(out.read_bytes()).hexdigest() == sha256
 
+    def test_jittered_analysis_run_matches_golden(self, tmp_path):
+        # pins every count and bin start of a seeded run whose Poisson mean
+        # comes from jitter, accidentals and an analysis block
+        cfg = tmp_path / "jitter.yaml"
+        cfg.write_text(
+            "source:\n  phase: 1.0\n  t02: 0.8\n  phase_jitter: 0.3\n  pair_rate: 50.0\n"
+            "plate:\n  retardance: quarter\n  angle: 0.3\n"
+            "eta1: 0.5\neta2: 0.7\naccidental_rate: 0.2\n"
+        )
+        out = tmp_path / "jitter.csv"
+        rc = main(["mc", str(cfg), "--seed", "2024", "--duration", "600", "--bin", "0.3",
+                   "--analysis", "x", "-o", str(out)])
+        assert rc == 0
+        assert sum(1 for line in out.read_text().splitlines() if not line.startswith("#")) == 2001
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "0e4c182833a3aa5e71c42cba57aa6a228190aabbe190655262b9733480f775e1"
+        )
+
     def test_total_is_exact_beyond_int64(self, fig2_config, tmp_path, capsys):
         # about 5e18 coincidences per bin: ten bins overflow an int64 sum
         out = str(tmp_path / "big.csv")

@@ -531,6 +531,23 @@ class TestCountTable:
         assert len(table) == 0
         assert list(table) == []
 
+    def test_record_is_named_tuple(self):
+        records = list(CountTable(np.array([0.25, 0.5]), np.array([4, 0], dtype=np.int32)))
+        assert records == [CountRecord(0.25, 4), CountRecord(0.5, 0)]
+        rec = records[0]
+        assert type(rec) is CountRecord
+        assert type(rec.t_start) is float and type(rec.coincidences) is int
+        t, c = rec
+        assert (t, c) == (0.25, 4)
+        with pytest.raises(AttributeError):
+            rec.coincidences = 5
+        with pytest.raises(AttributeError):
+            rec.extra = 1
+        assert CountRecord(t_start=1.0, coincidences=2) == CountRecord(1.0, 2)
+        assert CountRecord(1.0, 2) != CountRecord(1.0, 3)
+        with pytest.raises(ValueError):
+            CountRecord(0.0, -1)
+
     @pytest.mark.parametrize(
         "t_start,counts",
         [
